@@ -82,6 +82,8 @@ class Value
     bool isString() const { return _kind == Kind::String; }
     bool isArray() const { return _kind == Kind::Array; }
     bool isObject() const { return _kind == Kind::Object; }
+    /** A number held exactly as a non-negative integer. */
+    bool isUint64() const { return _kind == Kind::Number && _exactUint; }
 
     /** @{ @name Typed accessors (panic on kind mismatch) */
     bool boolean() const;

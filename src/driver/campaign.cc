@@ -32,31 +32,6 @@ failureCauseName(FailureCause cause)
     }
 }
 
-FailureCause
-failureCauseFromName(const std::string &name, bool *known)
-{
-    static const FailureCause all[] = {
-        FailureCause::None, FailureCause::Exception,
-        FailureCause::Signal, FailureCause::Timeout,
-        FailureCause::NonzeroExit,
-    };
-    for (FailureCause c : all) {
-        if (name == failureCauseName(c)) {
-            if (known)
-                *known = true;
-            return c;
-        }
-    }
-    // A token from a newer (or corrupt) report: coercing silently
-    // would make a bad cache report invisible, so say what happened.
-    chex_warn("report: unknown failure cause '%s'; treating as "
-              "exception",
-              name.c_str());
-    if (known)
-        *known = false;
-    return FailureCause::Exception;
-}
-
 uint64_t
 jobSeed(uint64_t campaign_seed, size_t index)
 {
@@ -239,7 +214,6 @@ executeJob(const JobSpec &spec, size_t index,
                 jr.failed = false;
                 jr.error.clear();
                 jr.cause = FailureCause::None;
-                jr.exitStatus = 0;
                 jr.exitCode = 0;
                 jr.termSignal = 0;
                 return jr;
@@ -247,7 +221,6 @@ executeJob(const JobSpec &spec, size_t index,
             jr.failed = true;
             jr.cause = out.cause;
             jr.error = out.error;
-            jr.exitStatus = out.exitStatus;
             jr.exitCode = out.exitCode;
             jr.termSignal = out.termSignal;
             continue;
@@ -391,7 +364,14 @@ runCampaign(const std::vector<JobSpec> &jobs,
             t.join();
     }
 
-    report.wallSeconds = secondsSince(campaign_start);
+    summarizeReport(report, secondsSince(campaign_start));
+    return report;
+}
+
+void
+summarizeReport(CampaignReport &report, double wall_seconds)
+{
+    report.wallSeconds = wall_seconds;
     for (const JobResult &jr : report.jobs) {
         if (jr.skipped) {
             report.jobsSkipped++;
@@ -417,7 +397,6 @@ runCampaign(const std::vector<JobSpec> &jobs,
         report.totalCycles
             ? static_cast<double>(report.totalUops) / report.totalCycles
             : 0.0;
-    return report;
 }
 
 std::vector<JobSpec>

@@ -129,15 +129,6 @@ enum class FailureCause : uint8_t
 /** Printable cause token ("exception", "signal", ...). */
 const char *failureCauseName(FailureCause cause);
 
-/**
- * Reverse of failureCauseName. Unknown tokens (newer or corrupt
- * reports) map to Exception after a chex_warn — silent coercion
- * would make a bad cache report invisible; @p known (if non-null)
- * additionally reports whether the token was recognized.
- */
-FailureCause failureCauseFromName(const std::string &name,
-                                  bool *known = nullptr);
-
 /** Outcome of one job, failed or not. */
 struct JobResult
 {
@@ -191,16 +182,6 @@ struct JobResult
 
     /** Structured failure classification (None when !failed). */
     FailureCause cause = FailureCause::None;
-
-    /**
-     * Isolated mode: the child's exit code (cause NonzeroExit) or
-     * terminating/killing signal number (cause Signal / Timeout) of
-     * the final attempt. 0 otherwise. Kept for v1/v2 report
-     * compatibility; prefer the unambiguous exitCode/termSignal
-     * split below (a v2 report cannot distinguish a child that the
-     * watchdog SIGKILLed from one that exited with code 9).
-     */
-    int exitStatus = 0;
 
     /** Child exit code of the final attempt (cause NonzeroExit). */
     int exitCode = 0;
@@ -289,8 +270,7 @@ struct CampaignOptions
      * Result cache: prior campaign reports (typically loaded from
      * disk via driver::fromJson). A job whose (specHash, seed)
      * matches a successful prior job is satisfied from the cache
-     * without simulating. Only schema-v3+ reports carry spec hashes;
-     * older reports load fine but yield no hits.
+     * without simulating.
      */
     std::vector<CampaignReport> cacheReports;
 
@@ -329,6 +309,14 @@ uint64_t jobSeed(uint64_t campaign_seed, size_t index);
 /** Run @p jobs to completion on the worker pool. */
 CampaignReport runCampaign(const std::vector<JobSpec> &jobs,
                            const CampaignOptions &opts = {});
+
+/**
+ * Fill the still-zero summary of @p report from its rows: job counts
+ * (skipped rows count only as skipped), serial seconds, cycle/µop
+ * totals over succeeded jobs, and speedup and aggregate IPC against
+ * @p wall_seconds. runCampaign and mergeReports both end with it.
+ */
+void summarizeReport(CampaignReport &report, double wall_seconds);
 
 /**
  * Build the (profile × variant) cross-product job list benches and

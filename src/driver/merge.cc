@@ -129,32 +129,14 @@ mergeReports(const std::vector<CampaignReport> &shards,
     for (size_t i = 0; i < n_jobs; ++i)
         out.jobs.push_back(*provider[i]);
 
+    // Shards run on separate machines in parallel: the merged
+    // campaign's wall clock is the slowest shard's, not the sum.
+    double wall = 0.0;
     for (const CampaignReport &shard : shards) {
         out.workers = std::max(out.workers, shard.workers);
-        // Shards run on separate machines in parallel: the merged
-        // campaign's wall clock is the slowest shard's, not the sum.
-        out.wallSeconds = std::max(out.wallSeconds,
-                                   shard.wallSeconds);
+        wall = std::max(wall, shard.wallSeconds);
     }
-    for (const JobResult &jr : out.jobs) {
-        out.jobsRun++;
-        out.serialSeconds += jr.wallSeconds;
-        if (jr.cached)
-            out.jobsCached++;
-        if (jr.failed) {
-            out.jobsFailed++;
-            continue;
-        }
-        out.totalCycles += jr.run.cycles;
-        out.totalUops += jr.run.uops;
-    }
-    out.speedup = out.wallSeconds > 0.0
-                      ? out.serialSeconds / out.wallSeconds
-                      : 0.0;
-    out.aggregateIpc =
-        out.totalCycles ? static_cast<double>(out.totalUops) /
-                              out.totalCycles
-                        : 0.0;
+    summarizeReport(out, wall);
     return true;
 }
 

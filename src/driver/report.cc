@@ -1,163 +1,422 @@
 #include "report.hh"
 
-#include <algorithm>
+#include <climits>
+#include <cmath>
+#include <concepts>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "base/logging.hh"
 #include "cap/capability.hh"
 #include "driver/spec_hash.hh"
+#include "workload/profiles.hh"
 
 namespace chex
 {
 namespace driver
 {
 
+namespace
+{
+
+const char *const SchemaTag = "chex-campaign-report-v7";
+
+/** Sets @p why to @p problem; returns false. */
+bool
+fail(std::string *why, const char *problem)
+{
+    *why = problem;
+    return false;
+}
+
+// ------------------------------------------------------------------
+// Members that are not a plain struct field carry their own codec:
+// encode() gives the JSON value, decode() reads it back or names the
+// problem in @p why (appended to the member's path).
+
+/** The schema tag: written as a constant, checked on read. */
+struct Schema
+{
+    json::Value encode() const { return SchemaTag; }
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        if (v.isString() && v.str() == SchemaTag)
+            return true;
+        *why = csprintf(" is not \"%s\"", SchemaTag);
+        return false;
+    }
+};
+
+/** A spec hash, written as its 16 lowercase hex digits. */
+template <typename U>
+struct HexHash
+{
+    U &value;
+
+    json::Value encode() const { return specHashHex(value); }
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        if (!v.isString() ||
+            specHashHex(specHashFromHex(v.str())) != v.str())
+            return fail(why, " is not 16 lowercase hex digits");
+        value = specHashFromHex(v.str());
+        return true;
+    }
+};
+
+/** JobResult's skipped/failed pair, written as one status token. */
+template <typename J>
+struct Status
+{
+    J &job;
+
+    json::Value
+    encode() const
+    {
+        // A skipped row is an out-of-shard placeholder: neither a
+        // result nor a failure.
+        return job.skipped ? "skipped" : (job.failed ? "failed" : "ok");
+    }
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        const std::string token = v.isString() ? v.str() : "";
+        job.skipped = token == "skipped";
+        job.failed = token == "failed";
+        return job.skipped || job.failed || token == "ok" ||
+               fail(why, " is not a job status (ok, failed, skipped)");
+    }
+};
+
+/** A nested object whose members are the field list @p list. */
+template <typename List>
+struct Group
+{
+    List list;
+};
+
+// ------------------------------------------------------------------
+// Field lists: every report member is named here and nowhere else.
+// toJson and fromJson both walk them, with a writer or a reader as
+// @p f, so the two directions cannot drift apart. Conditional
+// members are listed behind the members that decide them, which the
+// reader has already filled in when it reaches the condition.
+
+template <typename S, typename T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+template <Is<ViolationRecord> V, typename F>
+void
+fields(V &v, F &&f)
+{
+    f("kind", v.kind);
+    f("pc", v.pc);
+    f("addr", v.addr);
+    f("pid", v.pid);
+}
+
+template <Is<RunResult> R, typename F>
+void
+fields(R &r, F &&f)
+{
+    // Outcome
+    f("exited", r.exited);
+    f("violationDetected", r.violationDetected);
+    f("hijackedControlFlow", r.hijackedControlFlow);
+    f("hitMacroCap", r.hitMacroCap);
+    f("violations", r.violations);
+    // Timing
+    f("cycles", r.cycles);
+    f("macroOps", r.macroOps);
+    f("uops", r.uops);
+    f("ipc", r.ipc);
+    f("seconds", r.seconds);
+    f("squashCyclesBranch", r.squashCyclesBranch);
+    f("squashCyclesAlias", r.squashCyclesAlias);
+    f("squashFraction", r.squashFraction);
+    f("branchMispredicts", r.branchMispredicts);
+    // Capability machinery
+    f("capChecksInjected", r.capChecksInjected);
+    f("zeroIdiomChecks", r.zeroIdiomChecks);
+    f("injectedUops", r.injectedUops);
+    f("capCacheMissRate", r.capCacheMissRate);
+    f("capCacheAccesses", r.capCacheAccesses);
+    // Alias machinery
+    f("aliasCacheMissRate", r.aliasCacheMissRate);
+    f("aliasCacheAccesses", r.aliasCacheAccesses);
+    f("aliasPredAccuracy", r.aliasPredAccuracy);
+    f("reloadMispredictionRate", r.reloadMispredictionRate);
+    f("p0anFlushes", r.p0anFlushes);
+    f("pmanForwards", r.pmanForwards);
+    f("pna0ZeroIdioms", r.pna0ZeroIdioms);
+    f("pointerSpills", r.pointerSpills);
+    f("pointerReloads", r.pointerReloads);
+    f("loads", r.loads);
+    // Memory
+    f("dramBytes", r.dramBytes);
+    f("bandwidthMBps", r.bandwidthMBps);
+    f("residentBytes", r.residentBytes);
+    f("shadowBytes", r.shadowBytes);
+    f("footprintBytes", r.footprintBytes);
+    // Heap behaviour
+    f("totalAllocations", r.totalAllocations);
+    f("maxLiveAllocations", r.maxLiveAllocations);
+    f("avgAllocationsInUse", r.avgAllocationsInUse);
+    // Attack-job indicator (always false on workload jobs)
+    f("indicatorChecked", r.indicatorChecked);
+    f("indicatorFired", r.indicatorFired);
+}
+
+template <Is<JobResult> J, typename F>
+void
+fields(J &jr, F &&f)
+{
+    f("index", jr.index);
+    f("label", jr.label);
+    f("profile", jr.profileName);
+    f("variant", jr.variant);
+    f("seed", jr.seed);
+    f("repetition", jr.repetition);
+    f("specHash", HexHash{jr.specHash});
+    f("cached", jr.cached);
+    f("fromSnapshot", jr.fromSnapshot);
+    f("status", Status{jr});
+    f("attempts", jr.attempts);
+    f("wallSeconds", jr.wallSeconds);
+    f("attemptSeconds", jr.attemptSeconds);
+    if (jr.profileName == attackProfile().name)
+        f("attack", jr.attack);
+    if (jr.skipped)
+        return; // placeholder rows carry the identity only
+    if (jr.failed) {
+        f("error", jr.error);
+        f("cause", jr.cause);
+        f("exitCode", jr.exitCode);
+        f("signal", jr.termSignal);
+    } else {
+        f("result", jr.run);
+    }
+}
+
+template <Is<CampaignReport> C, typename F>
+void
+fields(C &r, F &&f)
+{
+    f("schema", Schema{});
+    f("seed", r.seed);
+    f("workers", r.workers);
+    f("shard", Group{[&](auto &g) {
+          g("index", r.shardIndex);
+          g("count", r.shardCount);
+      }});
+    f("summary", Group{[&](auto &g) {
+          g("jobsRun", r.jobsRun);
+          g("jobsFailed", r.jobsFailed);
+          g("jobsCached", r.jobsCached);
+          g("jobsSkipped", r.jobsSkipped);
+          g("jobsFromSnapshot", r.jobsFromSnapshot);
+          g("wallSeconds", r.wallSeconds);
+          g("serialSeconds", r.serialSeconds);
+          g("speedupVsSerial", r.speedup);
+          g("totalCycles", r.totalCycles);
+          g("totalUops", r.totalUops);
+          g("aggregateIpc", r.aggregateIpc);
+      }});
+    f("jobs", r.jobs);
+}
+
+template <typename L, typename F>
+void
+fields(const Group<L> &g, F &&f)
+{
+    g.list(f);
+}
+
+/**
+ * The enum value whose name() is @p v's string. Tokens are the
+ * names of E(0), E(1), ... up to the first value name() does not
+ * know ("???"), so a new enumerator is readable once it is named.
+ */
+template <typename E>
+bool
+decodeToken(const json::Value &v, E &out, const char *(*name)(E))
+{
+    for (unsigned i = 0; v.isString() && i < 256; ++i) {
+        std::string token = name(static_cast<E>(i));
+        if (token == "???")
+            break;
+        if (token == v.str()) {
+            out = static_cast<E>(i);
+            return true;
+        }
+    }
+    return false;
+}
+
+template <typename T>
+constexpr bool IsVector = false;
+template <typename T>
+constexpr bool IsVector<std::vector<T>> = true;
+
+/** @p field as JSON; a struct or group becomes an object. */
+template <typename T>
+json::Value
+encode(const T &field)
+{
+    if constexpr (requires { field.encode(); }) {
+        return field.encode();
+    } else if constexpr (std::is_same_v<T, bool> ||
+                         std::is_same_v<T, int> ||
+                         std::is_same_v<T, double> ||
+                         std::is_same_v<T, std::string>) {
+        return field;
+    } else if constexpr (std::is_unsigned_v<T>) {
+        return static_cast<uint64_t>(field);
+    } else if constexpr (std::is_same_v<T, Violation>) {
+        return violationName(field);
+    } else if constexpr (std::is_same_v<T, FailureCause>) {
+        return failureCauseName(field);
+    } else if constexpr (IsVector<T>) {
+        json::Value items = json::Value::array();
+        for (const auto &item : field)
+            items.push(encode(item));
+        return items;
+    } else {
+        json::Value obj = json::Value::object();
+        fields(field, [&](const char *name, const auto &member) {
+            obj.set(name, encode(member));
+        });
+        return obj;
+    }
+}
+
+/**
+ * Read @p out strictly from @p v. On failure @p why holds the path
+ * below @p v of the first bad member and its problem
+ * (".result.cycles is missing"), or only the problem when @p v
+ * itself is wrong (" is not an object").
+ */
+template <typename T>
+bool
+decode(const json::Value &v, T &out, std::string *why)
+{
+    if constexpr (requires { out.decode(v, why); }) {
+        return out.decode(v, why);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (!v.isBool())
+            return fail(why, " is not a boolean");
+        out = v.boolean();
+    } else if constexpr (std::is_unsigned_v<T>) {
+        if (!v.isUint64() || v.asUint64() > std::numeric_limits<T>::max())
+            return fail(why, " is not an unsigned integer in range");
+        out = static_cast<T>(v.asUint64());
+    } else if constexpr (std::is_same_v<T, int>) {
+        double d = v.isNumber() ? v.number() : 0.5;
+        if (std::trunc(d) != d || d < INT_MIN || d > INT_MAX)
+            return fail(why, " is not an int");
+        out = static_cast<int>(d);
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (!v.isNumber())
+            return fail(why, " is not a number");
+        out = v.number();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        if (!v.isString())
+            return fail(why, " is not a string");
+        out = v.str();
+    } else if constexpr (std::is_same_v<T, Violation>) {
+        if (!decodeToken(v, out, violationName))
+            return fail(why, " is not a violation kind");
+    } else if constexpr (std::is_same_v<T, FailureCause>) {
+        if (!decodeToken(v, out, failureCauseName))
+            return fail(why, " is not a failure cause");
+    } else if constexpr (IsVector<T>) {
+        if (!v.isArray())
+            return fail(why, " is not an array");
+        out.resize(v.size());
+        for (size_t i = 0; i < out.size(); ++i) {
+            if (!decode(v.at(i), out[i], why)) {
+                *why = csprintf("[%zu]", i) + *why;
+                return false;
+            }
+        }
+    } else {
+        if (!v.isObject())
+            return fail(why, " is not an object");
+        // Every member is required, and the first bad one stops the
+        // walk. Members normally arrive in field-list order, so the
+        // next one is tried before searching.
+        const auto &members = v.members();
+        size_t next = 0;
+        bool ok = true;
+        fields(out, [&](const char *name, auto &&member) {
+            if (!ok)
+                return;
+            const json::Value *m =
+                next < members.size() && members[next].first == name
+                    ? &members[next++].second
+                    : v.find(name);
+            if (m && decode(*m, member, why))
+                return;
+            *why = std::string(".") + name + (m ? *why : " is missing");
+            ok = false;
+        });
+        return ok;
+    }
+    return true;
+}
+
+/**
+ * The public fromJson: a fresh @p out read strictly from @p v.
+ * Errors read "report: jobs[3].result.cycles is missing", or
+ * "report: <what> is not an object" when @p v itself is wrong.
+ */
+template <typename T>
+bool
+decodeRoot(const json::Value &v, T &out, const char *what,
+           std::string *err)
+{
+    out = T();
+    std::string why;
+    if (decode(v, out, &why))
+        return true;
+    if (err) {
+        *err = "report: " +
+               (why[0] == '.' ? why.substr(1) : what + why);
+    }
+    return false;
+}
+
+} // namespace
+
 json::Value
 toJson(const ViolationRecord &v)
 {
-    return json::Value::object()
-        .set("kind", violationName(v.kind))
-        .set("pc", v.pc)
-        .set("addr", v.addr)
-        .set("pid", static_cast<uint64_t>(v.pid));
+    return encode(v);
 }
 
 json::Value
 toJson(const RunResult &r)
 {
-    json::Value violations = json::Value::array();
-    for (const ViolationRecord &v : r.violations)
-        violations.push(toJson(v));
-
-    return json::Value::object()
-        // Outcome
-        .set("exited", r.exited)
-        .set("violationDetected", r.violationDetected)
-        .set("hijackedControlFlow", r.hijackedControlFlow)
-        .set("hitMacroCap", r.hitMacroCap)
-        .set("violations", std::move(violations))
-        // Timing
-        .set("cycles", r.cycles)
-        .set("macroOps", r.macroOps)
-        .set("uops", r.uops)
-        .set("ipc", r.ipc)
-        .set("seconds", r.seconds)
-        .set("squashCyclesBranch", r.squashCyclesBranch)
-        .set("squashCyclesAlias", r.squashCyclesAlias)
-        .set("squashFraction", r.squashFraction)
-        .set("branchMispredicts", r.branchMispredicts)
-        // Capability machinery
-        .set("capChecksInjected", r.capChecksInjected)
-        .set("zeroIdiomChecks", r.zeroIdiomChecks)
-        .set("injectedUops", r.injectedUops)
-        .set("capCacheMissRate", r.capCacheMissRate)
-        .set("capCacheAccesses", r.capCacheAccesses)
-        // Alias machinery
-        .set("aliasCacheMissRate", r.aliasCacheMissRate)
-        .set("aliasCacheAccesses", r.aliasCacheAccesses)
-        .set("aliasPredAccuracy", r.aliasPredAccuracy)
-        .set("reloadMispredictionRate", r.reloadMispredictionRate)
-        .set("p0anFlushes", r.p0anFlushes)
-        .set("pmanForwards", r.pmanForwards)
-        .set("pna0ZeroIdioms", r.pna0ZeroIdioms)
-        .set("pointerSpills", r.pointerSpills)
-        .set("pointerReloads", r.pointerReloads)
-        .set("loads", r.loads)
-        // Memory
-        .set("dramBytes", r.dramBytes)
-        .set("bandwidthMBps", r.bandwidthMBps)
-        .set("residentBytes", r.residentBytes)
-        .set("shadowBytes", r.shadowBytes)
-        .set("footprintBytes", r.footprintBytes)
-        // Heap behaviour
-        .set("totalAllocations", r.totalAllocations)
-        .set("maxLiveAllocations", r.maxLiveAllocations)
-        .set("avgAllocationsInUse", r.avgAllocationsInUse)
-        // Attack-job indicator (new in v6; always false elsewhere)
-        .set("indicatorChecked", r.indicatorChecked)
-        .set("indicatorFired", r.indicatorFired);
+    return encode(r);
 }
 
 json::Value
 toJson(const JobResult &jr)
 {
-    json::Value attempt_seconds = json::Value::array();
-    for (double s : jr.attemptSeconds)
-        attempt_seconds.push(s);
-
-    // A skipped row is an out-of-shard placeholder: identity only,
-    // neither a result nor a failure.
-    const char *status =
-        jr.skipped ? "skipped" : (jr.failed ? "failed" : "ok");
-    json::Value job = json::Value::object()
-                          .set("index", static_cast<uint64_t>(jr.index))
-                          .set("label", jr.label)
-                          .set("profile", jr.profileName)
-                          .set("variant", jr.variant)
-                          .set("seed", jr.seed)
-                          .set("repetition", jr.repetition)
-                          .set("specHash", specHashHex(jr.specHash))
-                          .set("cached", jr.cached)
-                          .set("fromSnapshot", jr.fromSnapshot)
-                          .set("status", status)
-                          .set("attempts", jr.attempts)
-                          .set("wallSeconds", jr.wallSeconds)
-                          .set("attemptSeconds",
-                               std::move(attempt_seconds));
-    // Attack jobs only (new in v6): workload rows keep their shape.
-    if (!jr.attack.empty())
-        job.set("attack", jr.attack);
-    if (jr.skipped) {
-        // Placeholder rows carry nothing further.
-    } else if (jr.failed) {
-        job.set("error", jr.error)
-            .set("cause", failureCauseName(jr.cause))
-            // exitStatus is the legacy conflated field (kept so v2
-            // consumers keep working); exitCode/signal disambiguate
-            // a watchdog SIGKILL from an exit with code 9.
-            .set("exitStatus", jr.exitStatus)
-            .set("exitCode", jr.exitCode)
-            .set("signal", jr.termSignal);
-    } else {
-        job.set("result", toJson(jr.run));
-    }
-    return job;
+    return encode(jr);
 }
 
 json::Value
 toJson(const CampaignReport &report)
 {
-    json::Value jobs = json::Value::array();
-    for (const JobResult &jr : report.jobs)
-        jobs.push(toJson(jr));
-
-    return json::Value::object()
-        .set("schema", "chex-campaign-report-v6")
-        .set("seed", report.seed)
-        .set("workers", report.workers)
-        .set("shard", json::Value::object()
-                          .set("index", report.shardIndex)
-                          .set("count", std::max(1u,
-                                                 report.shardCount)))
-        .set("summary",
-             json::Value::object()
-                 .set("jobsRun", static_cast<uint64_t>(report.jobsRun))
-                 .set("jobsFailed",
-                      static_cast<uint64_t>(report.jobsFailed))
-                 .set("jobsCached",
-                      static_cast<uint64_t>(report.jobsCached))
-                 .set("jobsSkipped",
-                      static_cast<uint64_t>(report.jobsSkipped))
-                 .set("jobsFromSnapshot",
-                      static_cast<uint64_t>(report.jobsFromSnapshot))
-                 .set("wallSeconds", report.wallSeconds)
-                 .set("serialSeconds", report.serialSeconds)
-                 .set("speedupVsSerial", report.speedup)
-                 .set("totalCycles", report.totalCycles)
-                 .set("totalUops", report.totalUops)
-                 .set("aggregateIpc", report.aggregateIpc))
-        .set("jobs", std::move(jobs));
+    return encode(report);
 }
 
 void
@@ -167,246 +426,33 @@ writeReport(const CampaignReport &report, std::ostream &os)
     os << "\n";
 }
 
-namespace
-{
-
-bool
-failParse(std::string *err, const char *what)
-{
-    if (err)
-        *err = csprintf("report: %s", what);
-    return false;
-}
-
-Violation
-violationFromName(const std::string &name)
-{
-    static const Violation all[] = {
-        Violation::None,           Violation::OutOfBounds,
-        Violation::UseAfterFree,   Violation::DoubleFree,
-        Violation::InvalidFree,    Violation::PermissionDenied,
-        Violation::WildPointer,    Violation::OversizeAlloc,
-        Violation::UninitializedRead,
-    };
-    for (Violation v : all)
-        if (name == violationName(v))
-            return v;
-    return Violation::None;
-}
-
-} // namespace
-
 bool
 fromJson(const json::Value &v, ViolationRecord &out, std::string *err)
 {
-    if (!v.isObject())
-        return failParse(err, "violation record is not an object");
-    out.kind = violationFromName(json::getString(v, "kind", "none"));
-    out.pc = json::getUint(v, "pc", 0);
-    out.addr = json::getUint(v, "addr", 0);
-    out.pid = static_cast<Pid>(json::getUint(v, "pid", NoPid));
-    return true;
+    return decodeRoot(v, out, "violation record", err);
 }
 
 bool
 fromJson(const json::Value &v, RunResult &out, std::string *err)
 {
-    if (!v.isObject())
-        return failParse(err, "run result is not an object");
-    out = RunResult();
-    // Outcome
-    out.exited = json::getBool(v, "exited", false);
-    out.violationDetected = json::getBool(v, "violationDetected", false);
-    out.hijackedControlFlow =
-        json::getBool(v, "hijackedControlFlow", false);
-    out.hitMacroCap = json::getBool(v, "hitMacroCap", false);
-    if (const json::Value *violations = v.find("violations")) {
-        if (!violations->isArray())
-            return failParse(err, "'violations' is not an array");
-        for (const json::Value &rec : violations->items()) {
-            ViolationRecord vr;
-            if (!fromJson(rec, vr, err))
-                return false;
-            out.violations.push_back(vr);
-        }
-    }
-    // Timing
-    out.cycles = json::getUint(v, "cycles", 0);
-    out.macroOps = json::getUint(v, "macroOps", 0);
-    out.uops = json::getUint(v, "uops", 0);
-    out.ipc = json::getDouble(v, "ipc", 0.0);
-    out.seconds = json::getDouble(v, "seconds", 0.0);
-    out.squashCyclesBranch = json::getUint(v, "squashCyclesBranch", 0);
-    out.squashCyclesAlias = json::getUint(v, "squashCyclesAlias", 0);
-    out.squashFraction = json::getDouble(v, "squashFraction", 0.0);
-    out.branchMispredicts = json::getUint(v, "branchMispredicts", 0);
-    // Capability machinery
-    out.capChecksInjected = json::getUint(v, "capChecksInjected", 0);
-    out.zeroIdiomChecks = json::getUint(v, "zeroIdiomChecks", 0);
-    out.injectedUops = json::getUint(v, "injectedUops", 0);
-    out.capCacheMissRate = json::getDouble(v, "capCacheMissRate", 0.0);
-    out.capCacheAccesses = json::getUint(v, "capCacheAccesses", 0);
-    // Alias machinery
-    out.aliasCacheMissRate =
-        json::getDouble(v, "aliasCacheMissRate", 0.0);
-    out.aliasCacheAccesses = json::getUint(v, "aliasCacheAccesses", 0);
-    out.aliasPredAccuracy =
-        json::getDouble(v, "aliasPredAccuracy", 1.0);
-    out.reloadMispredictionRate =
-        json::getDouble(v, "reloadMispredictionRate", 0.0);
-    out.p0anFlushes = json::getUint(v, "p0anFlushes", 0);
-    out.pmanForwards = json::getUint(v, "pmanForwards", 0);
-    out.pna0ZeroIdioms = json::getUint(v, "pna0ZeroIdioms", 0);
-    out.pointerSpills = json::getUint(v, "pointerSpills", 0);
-    out.pointerReloads = json::getUint(v, "pointerReloads", 0);
-    out.loads = json::getUint(v, "loads", 0);
-    // Memory
-    out.dramBytes = json::getUint(v, "dramBytes", 0);
-    out.bandwidthMBps = json::getDouble(v, "bandwidthMBps", 0.0);
-    out.residentBytes = json::getUint(v, "residentBytes", 0);
-    out.shadowBytes = json::getUint(v, "shadowBytes", 0);
-    out.footprintBytes = json::getUint(v, "footprintBytes", 0);
-    // Heap behaviour
-    out.totalAllocations = json::getUint(v, "totalAllocations", 0);
-    out.maxLiveAllocations = json::getUint(v, "maxLiveAllocations", 0);
-    out.avgAllocationsInUse =
-        json::getDouble(v, "avgAllocationsInUse", 0.0);
-    // Attack-job indicator: new in v6, absent (false) before.
-    out.indicatorChecked = json::getBool(v, "indicatorChecked", false);
-    out.indicatorFired = json::getBool(v, "indicatorFired", false);
-    return true;
+    return decodeRoot(v, out, "run result", err);
 }
 
 bool
 fromJson(const json::Value &v, JobResult &out, std::string *err)
 {
-    if (!v.isObject())
-        return failParse(err, "job record is not an object");
-    out = JobResult();
-    out.index = static_cast<size_t>(json::getUint(v, "index", 0));
-    out.label = json::getString(v, "label", "");
-    out.profileName = json::getString(v, "profile", "");
-    out.variant = json::getString(v, "variant", "");
-    out.seed = json::getUint(v, "seed", 0);
-    out.repetition =
-        static_cast<unsigned>(json::getUint(v, "repetition", 0));
-    // Attack-case ID: new in v6, absent (workload job) before.
-    out.attack = json::getString(v, "attack", "");
-    // v1/v2 jobs carry no hash: they parse with specHash 0, which
-    // never matches a computed hash, so pre-v3 reports load cleanly
-    // as cache sources but yield no hits.
-    out.specHash =
-        specHashFromHex(json::getString(v, "specHash", ""));
-    out.cached = json::getBool(v, "cached", false);
-    // New in v5; pre-v5 jobs all ran from scratch.
-    out.fromSnapshot = json::getBool(v, "fromSnapshot", false);
-    std::string status = json::getString(v, "status", "ok");
-    out.failed = status == "failed";
-    // "skipped" is new in v4; pre-v4 reports never carry it, so
-    // their jobs all parse as provided (skipped = false).
-    out.skipped = status == "skipped";
-    out.attempts =
-        static_cast<unsigned>(json::getUint(v, "attempts", 1));
-    out.wallSeconds = json::getDouble(v, "wallSeconds", 0.0);
-    if (const json::Value *as = v.find("attemptSeconds")) {
-        if (!as->isArray())
-            return failParse(err, "'attemptSeconds' is not an array");
-        for (const json::Value &s : as->items())
-            out.attemptSeconds.push_back(
-                s.isNumber() ? s.number() : 0.0);
-    }
-    if (out.failed) {
-        out.error = json::getString(v, "error", "");
-        // v1 has no `cause`: an exception was the only failure it
-        // could record, so that is the backfill default.
-        out.cause = failureCauseFromName(
-            json::getString(v, "cause", "exception"));
-        out.exitStatus = static_cast<int>(
-            json::getInt(v, "exitStatus", 0));
-        if (v.find("exitCode") || v.find("signal")) {
-            out.exitCode =
-                static_cast<int>(json::getInt(v, "exitCode", 0));
-            out.termSignal =
-                static_cast<int>(json::getInt(v, "signal", 0));
-        } else {
-            // v1/v2 conflate signal number and exit code in
-            // exitStatus; the cause says which one it was.
-            if (out.cause == FailureCause::Signal ||
-                out.cause == FailureCause::Timeout) {
-                out.termSignal = out.exitStatus;
-            } else {
-                out.exitCode = out.exitStatus;
-            }
-        }
-    } else if (const json::Value *res = v.find("result")) {
-        if (!fromJson(*res, out.run, err))
-            return false;
-    }
-    return true;
+    return decodeRoot(v, out, "job record", err);
 }
 
 bool
 fromJson(const json::Value &v, CampaignReport &out, std::string *err)
 {
-    if (!v.isObject())
-        return failParse(err, "report is not an object");
-    std::string schema = json::getString(v, "schema", "");
-    if (schema != "chex-campaign-report-v1" &&
-        schema != "chex-campaign-report-v2" &&
-        schema != "chex-campaign-report-v3" &&
-        schema != "chex-campaign-report-v4" &&
-        schema != "chex-campaign-report-v5" &&
-        schema != "chex-campaign-report-v6") {
-        return failParse(err, schema.empty()
-                                  ? "missing schema tag"
-                                  : "unknown schema tag");
-    }
-    out = CampaignReport();
-    out.seed = json::getUint(v, "seed", 0);
-    out.workers =
-        static_cast<unsigned>(json::getUint(v, "workers", 0));
-    // Pre-v4 reports have no shard block: they are complete
-    // unsharded campaigns, i.e. shard 0 of 1.
-    if (const json::Value *shard = v.find("shard")) {
-        if (!shard->isObject())
-            return failParse(err, "'shard' is not an object");
-        out.shardIndex = static_cast<unsigned>(
-            json::getUint(*shard, "index", 0));
-        out.shardCount = static_cast<unsigned>(
-            json::getUint(*shard, "count", 1));
-        if (out.shardCount == 0 ||
-            out.shardIndex >= out.shardCount) {
-            return failParse(err, "'shard' index/count out of range");
-        }
-    }
-    if (const json::Value *summary = v.find("summary")) {
-        out.jobsRun = static_cast<size_t>(
-            json::getUint(*summary, "jobsRun", 0));
-        out.jobsFailed = static_cast<size_t>(
-            json::getUint(*summary, "jobsFailed", 0));
-        out.jobsCached = static_cast<size_t>(
-            json::getUint(*summary, "jobsCached", 0));
-        out.jobsSkipped = static_cast<size_t>(
-            json::getUint(*summary, "jobsSkipped", 0));
-        out.jobsFromSnapshot = static_cast<size_t>(
-            json::getUint(*summary, "jobsFromSnapshot", 0));
-        out.wallSeconds = json::getDouble(*summary, "wallSeconds", 0.0);
-        out.serialSeconds =
-            json::getDouble(*summary, "serialSeconds", 0.0);
-        out.speedup = json::getDouble(*summary, "speedupVsSerial", 0.0);
-        out.totalCycles = json::getUint(*summary, "totalCycles", 0);
-        out.totalUops = json::getUint(*summary, "totalUops", 0);
-        out.aggregateIpc =
-            json::getDouble(*summary, "aggregateIpc", 0.0);
-    }
-    const json::Value *jobs = v.find("jobs");
-    if (!jobs || !jobs->isArray())
-        return failParse(err, "'jobs' is missing or not an array");
-    for (const json::Value &job : jobs->items()) {
-        JobResult jr;
-        if (!fromJson(job, jr, err))
-            return false;
-        out.jobs.push_back(std::move(jr));
+    if (!decodeRoot(v, out, "document", err))
+        return false;
+    if (out.shardCount == 0 || out.shardIndex >= out.shardCount) {
+        if (err)
+            *err = "report: shard index/count out of range";
+        return false;
     }
     return true;
 }

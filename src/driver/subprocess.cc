@@ -51,11 +51,11 @@ childMain(int fd, const std::function<RunResult()> &body)
     json::Value doc = json::Value::object();
     try {
         RunResult r = body();
-        doc.set("ok", true).set("result", toJson(r));
+        doc.set("result", toJson(r));
     } catch (const std::exception &e) {
-        doc.set("ok", false).set("error", std::string(e.what()));
+        doc.set("error", std::string(e.what()));
     } catch (...) {
-        doc.set("ok", false).set("error", "unknown exception");
+        doc.set("error", "unknown exception");
     }
     std::string payload = doc.dump();
     size_t off = 0;
@@ -168,7 +168,6 @@ runIsolatedAttempt(const std::function<RunResult()> &body,
 
     if (timed_out) {
         out.cause = FailureCause::Timeout;
-        out.exitStatus = SIGKILL;
         out.termSignal = SIGKILL;
         out.error = csprintf(
             "killed after exceeding the %.1fs per-attempt watchdog",
@@ -187,14 +186,12 @@ runIsolatedAttempt(const std::function<RunResult()> &body,
     if (WIFSIGNALED(status)) {
         int sig = WTERMSIG(status);
         out.cause = FailureCause::Signal;
-        out.exitStatus = sig;
         out.termSignal = sig;
         out.error = csprintf("child killed by signal %d (%s)", sig,
                              strsignal(sig));
         return out;
     }
     int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    out.exitStatus = code;
     if (code != 0) {
         out.cause = FailureCause::NonzeroExit;
         out.exitCode = code;
@@ -214,21 +211,21 @@ runIsolatedAttempt(const std::function<RunResult()> &body,
                                              : perr.c_str());
         return out;
     }
-    if (json::getBool(doc, "ok", false)) {
-        const json::Value *res = doc.find("result");
+    if (const json::Value *res = doc.find("result")) {
         std::string ferr;
-        if (res && fromJson(*res, out.run, &ferr)) {
+        if (fromJson(*res, out.run, &ferr)) {
             out.ok = true;
             return out;
         }
         out.cause = FailureCause::Exception;
-        out.error = csprintf("child result unreadable (%s)",
-                             ferr.empty() ? "missing 'result'"
-                                          : ferr.c_str());
+        out.error = csprintf("child result unreadable (%s)", ferr.c_str());
         return out;
     }
+    const json::Value *msg = doc.find("error");
     out.cause = FailureCause::Exception;
-    out.error = json::getString(doc, "error", "unknown exception");
+    out.error = msg && msg->isString()
+                    ? msg->str()
+                    : "child result unreadable (no result or error)";
     return out;
 }
 

@@ -5,12 +5,12 @@
  * The worker fork()s a child that evaluates the job body and streams
  * the RunResult back to the parent over a pipe as a single JSON
  * document (the same serializers the campaign report uses, plus the
- * fromJson direction to rebuild the struct). The parent supervises
- * the child with a per-attempt wall-clock watchdog and classifies
- * every way the attempt can end:
+ * strict fromJson direction to rebuild the struct). The parent
+ * supervises the child with a per-attempt wall-clock watchdog and
+ * classifies every way the attempt can end:
  *
- *  - child exits 0 with {"ok": true, "result": {...}}  -> success
- *  - child exits 0 with {"ok": false, "error": "..."}  -> Exception
+ *  - child exits 0 with {"result": {...}}              -> success
+ *  - child exits 0 with {"error": "..."}               -> Exception
  *  - child dies on a signal (chex_panic -> SIGABRT,
  *    SIGSEGV, ...)                                     -> Signal
  *  - child outlives the watchdog and is SIGKILLed      -> Timeout
@@ -43,13 +43,6 @@ struct AttemptOutcome
 
     FailureCause cause = FailureCause::None;
     std::string error; // human-readable detail when !ok
-
-    /**
-     * Legacy conflated field (v1/v2 reports): exit code, or signal
-     * number for Signal/Timeout. Prefer exitCode/termSignal, which
-     * can tell a watchdog SIGKILL from an exit with code 9.
-     */
-    int exitStatus = 0;
 
     /** Child exit code (cause NonzeroExit); 0 otherwise. */
     int exitCode = 0;

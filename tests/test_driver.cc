@@ -10,7 +10,8 @@
  * bit-identical to the unsharded run) and report merging (seed /
  * option / coverage validation), the JSON value type (writer +
  * parser round trip), the campaign report / single-run stats
- * serialization in both directions (v1-v5 parse), snapshot-fanned
+ * serialization in both directions (the strict reader rejecting
+ * every missing or malformed member), snapshot-fanned
  * campaigns (bit-identity vs from-scratch, folded spec hashes
  * keeping cache modes apart), record/replay of report rows
  * (reproduced failure causes, refusal of unreconstructible rows),
@@ -25,6 +26,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <set>
@@ -263,7 +265,6 @@ TEST(Isolation, PanicIsCapturedAsSignalWhileSiblingsComplete)
     EXPECT_EQ(r.jobsFailed, 1u);
     ASSERT_TRUE(r.jobs[2].failed);
     EXPECT_EQ(r.jobs[2].cause, driver::FailureCause::Signal);
-    EXPECT_EQ(r.jobs[2].exitStatus, SIGABRT);
     EXPECT_EQ(r.jobs[2].termSignal, SIGABRT);
     EXPECT_EQ(r.jobs[2].exitCode, 0);
     EXPECT_NE(r.jobs[2].error.find("signal"), std::string::npos)
@@ -295,7 +296,6 @@ TEST(Isolation, WatchdogKillsStuckJobAndRetries)
 
     ASSERT_TRUE(r.jobs[0].failed);
     EXPECT_EQ(r.jobs[0].cause, driver::FailureCause::Timeout);
-    EXPECT_EQ(r.jobs[0].exitStatus, SIGKILL);
     EXPECT_EQ(r.jobs[0].termSignal, SIGKILL);
     EXPECT_EQ(r.jobs[0].exitCode, 0);
     EXPECT_EQ(r.jobs[0].attempts, 2u);
@@ -374,7 +374,6 @@ TEST(Isolation, ExceptionCrossesTheProcessBoundary)
     ASSERT_TRUE(r.jobs[1].failed);
     EXPECT_EQ(r.jobs[1].cause, driver::FailureCause::Exception);
     EXPECT_EQ(r.jobs[1].error, "thrown in the child");
-    EXPECT_EQ(r.jobs[1].exitStatus, 0);
     EXPECT_FALSE(r.jobs[0].failed);
 }
 
@@ -394,7 +393,6 @@ TEST(Isolation, NonzeroExitIsCaptured)
 
     ASSERT_TRUE(r.jobs[0].failed);
     EXPECT_EQ(r.jobs[0].cause, driver::FailureCause::NonzeroExit);
-    EXPECT_EQ(r.jobs[0].exitStatus, 7);
     EXPECT_EQ(r.jobs[0].exitCode, 7);
     EXPECT_EQ(r.jobs[0].termSignal, 0);
     EXPECT_FALSE(r.jobs[1].failed);
@@ -554,7 +552,7 @@ TEST(Report, CampaignJsonRoundTrips)
     std::string err;
     ASSERT_TRUE(json::Value::parse(ss.str(), doc, &err)) << err;
 
-    EXPECT_EQ(doc.at("schema").str(), "chex-campaign-report-v6");
+    EXPECT_EQ(doc.at("schema").str(), "chex-campaign-report-v7");
     EXPECT_EQ(doc.at("seed").number(), 11.0);
     // An unsharded campaign is shard 0 of 1 with nothing skipped.
     EXPECT_EQ(doc.at("shard").at("index").number(), 0.0);
@@ -579,8 +577,7 @@ TEST(Report, CampaignJsonRoundTrips)
             EXPECT_EQ(job.at("status").str(), "failed");
             EXPECT_EQ(job.at("error").str(), "boom");
             EXPECT_EQ(job.find("result"), nullptr);
-            // The v3 split fields ride along with the legacy
-            // conflated exitStatus.
+            EXPECT_EQ(job.at("cause").str(), "exception");
             EXPECT_EQ(job.at("exitCode").number(), 0.0);
             EXPECT_EQ(job.at("signal").number(), 0.0);
         } else {
@@ -615,7 +612,7 @@ TEST(Report, V5RoundTripsThroughFromJson)
     json::Value doc;
     std::string err;
     ASSERT_TRUE(json::Value::parse(ss.str(), doc, &err)) << err;
-    EXPECT_EQ(doc.at("schema").str(), "chex-campaign-report-v6");
+    EXPECT_EQ(doc.at("schema").str(), "chex-campaign-report-v7");
 
     driver::CampaignReport back;
     ASSERT_TRUE(driver::fromJson(doc, back, &err)) << err;
@@ -657,190 +654,6 @@ TEST(Report, V5RoundTripsThroughFromJson)
                       report.jobs[i].run.exited);
         }
     }
-}
-
-TEST(Report, V1StillParses)
-{
-    // A hand-written schema-v1 document: no cause/exitStatus/
-    // attemptSeconds members anywhere.
-    const char *v1 = R"({
-      "schema": "chex-campaign-report-v1",
-      "seed": 7,
-      "workers": 2,
-      "summary": {
-        "jobsRun": 2, "jobsFailed": 1,
-        "wallSeconds": 1.5, "serialSeconds": 2.0,
-        "speedupVsSerial": 1.33,
-        "totalCycles": 100, "totalUops": 150, "aggregateIpc": 1.5
-      },
-      "jobs": [
-        {"index": 0, "label": "mcf/baseline", "profile": "mcf",
-         "variant": "baseline", "seed": 9, "repetition": 0,
-         "status": "ok", "attempts": 1, "wallSeconds": 1.0,
-         "result": {"exited": true, "cycles": 100, "uops": 150,
-                    "ipc": 1.5}},
-        {"index": 1, "label": "lbm/baseline", "profile": "lbm",
-         "variant": "baseline", "seed": 10, "repetition": 0,
-         "status": "failed", "attempts": 2, "wallSeconds": 0.5,
-         "error": "boom"}
-      ]
-    })";
-
-    json::Value doc;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(v1, doc, &err)) << err;
-
-    driver::CampaignReport report;
-    ASSERT_TRUE(driver::fromJson(doc, report, &err)) << err;
-    EXPECT_EQ(report.seed, 7u);
-    EXPECT_EQ(report.workers, 2u);
-    EXPECT_EQ(report.jobsRun, 2u);
-    EXPECT_EQ(report.jobsFailed, 1u);
-    ASSERT_EQ(report.jobs.size(), 2u);
-
-    EXPECT_FALSE(report.jobs[0].failed);
-    EXPECT_EQ(report.jobs[0].label, "mcf/baseline");
-    EXPECT_EQ(report.jobs[0].run.cycles, 100u);
-    EXPECT_TRUE(report.jobs[0].run.exited);
-    EXPECT_TRUE(report.jobs[0].attemptSeconds.empty());
-
-    EXPECT_TRUE(report.jobs[1].failed);
-    EXPECT_EQ(report.jobs[1].error, "boom");
-    // v1 could only record exceptions, so that is the backfill.
-    EXPECT_EQ(report.jobs[1].cause, driver::FailureCause::Exception);
-    EXPECT_EQ(report.jobs[1].exitStatus, 0);
-    EXPECT_EQ(report.jobs[1].exitCode, 0);
-    EXPECT_EQ(report.jobs[1].termSignal, 0);
-    // Pre-v3 reports carry no specHash: the jobs load fine but can
-    // never satisfy a cache lookup.
-    EXPECT_EQ(report.jobs[0].specHash, 0u);
-    EXPECT_FALSE(report.jobs[0].cached);
-}
-
-TEST(Report, V2SplitsLegacyExitStatusByCause)
-{
-    // Hand-written schema-v2 jobs carry only the conflated
-    // exitStatus member; parsing must split it into termSignal or
-    // exitCode depending on the recorded cause.
-    const char *v2 = R"({
-      "schema": "chex-campaign-report-v2",
-      "seed": 3,
-      "workers": 1,
-      "summary": {
-        "jobsRun": 3, "jobsFailed": 3,
-        "wallSeconds": 1.0, "serialSeconds": 1.0,
-        "speedupVsSerial": 1.0,
-        "totalCycles": 0, "totalUops": 0, "aggregateIpc": 0.0
-      },
-      "jobs": [
-        {"index": 0, "label": "a/baseline", "profile": "a",
-         "variant": "baseline", "seed": 1, "repetition": 0,
-         "status": "failed", "attempts": 1, "wallSeconds": 0.1,
-         "error": "killed by signal 6", "cause": "signal",
-         "exitStatus": 6},
-        {"index": 1, "label": "b/baseline", "profile": "b",
-         "variant": "baseline", "seed": 2, "repetition": 0,
-         "status": "failed", "attempts": 1, "wallSeconds": 0.1,
-         "error": "timed out", "cause": "timeout",
-         "exitStatus": 9},
-        {"index": 2, "label": "c/baseline", "profile": "c",
-         "variant": "baseline", "seed": 3, "repetition": 0,
-         "status": "failed", "attempts": 1, "wallSeconds": 0.1,
-         "error": "exited with status 7", "cause": "nonzero-exit",
-         "exitStatus": 7}
-      ]
-    })";
-
-    json::Value doc;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(v2, doc, &err)) << err;
-
-    driver::CampaignReport report;
-    ASSERT_TRUE(driver::fromJson(doc, report, &err)) << err;
-    ASSERT_EQ(report.jobs.size(), 3u);
-
-    EXPECT_EQ(report.jobs[0].cause, driver::FailureCause::Signal);
-    EXPECT_EQ(report.jobs[0].exitStatus, 6);
-    EXPECT_EQ(report.jobs[0].termSignal, 6);
-    EXPECT_EQ(report.jobs[0].exitCode, 0);
-
-    EXPECT_EQ(report.jobs[1].cause, driver::FailureCause::Timeout);
-    EXPECT_EQ(report.jobs[1].termSignal, 9);
-    EXPECT_EQ(report.jobs[1].exitCode, 0);
-
-    EXPECT_EQ(report.jobs[2].cause,
-              driver::FailureCause::NonzeroExit);
-    EXPECT_EQ(report.jobs[2].exitCode, 7);
-    EXPECT_EQ(report.jobs[2].termSignal, 0);
-}
-
-TEST(Report, V3StillParsesWithShardBackfill)
-{
-    // A hand-written schema-v3 document: specHash/cached/exitCode/
-    // signal are present, but no shard block and no jobsSkipped —
-    // parsing must backfill shard 0 of 1 with nothing skipped.
-    const char *v3 = R"({
-      "schema": "chex-campaign-report-v3",
-      "seed": 5,
-      "workers": 2,
-      "summary": {
-        "jobsRun": 2, "jobsFailed": 1, "jobsCached": 1,
-        "wallSeconds": 1.0, "serialSeconds": 1.5,
-        "speedupVsSerial": 1.5,
-        "totalCycles": 200, "totalUops": 300, "aggregateIpc": 1.5
-      },
-      "jobs": [
-        {"index": 0, "label": "mcf/baseline", "profile": "mcf",
-         "variant": "baseline", "seed": 9, "repetition": 0,
-         "specHash": "00000000deadbeef", "status": "ok",
-         "cached": true, "attempts": 0, "wallSeconds": 0.0,
-         "result": {"exited": true, "cycles": 200, "uops": 300,
-                    "ipc": 1.5}},
-        {"index": 1, "label": "lbm/baseline", "profile": "lbm",
-         "variant": "baseline", "seed": 10, "repetition": 0,
-         "specHash": "0000000000001234", "status": "failed",
-         "cached": false, "attempts": 1, "wallSeconds": 0.5,
-         "attemptSeconds": [0.5], "error": "exited with status 7",
-         "cause": "nonzero-exit", "exitStatus": 7, "exitCode": 7,
-         "signal": 0}
-      ]
-    })";
-
-    json::Value doc;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(v3, doc, &err)) << err;
-
-    driver::CampaignReport report;
-    ASSERT_TRUE(driver::fromJson(doc, report, &err)) << err;
-    EXPECT_EQ(report.shardIndex, 0u);
-    EXPECT_EQ(report.shardCount, 1u);
-    EXPECT_EQ(report.jobsSkipped, 0u);
-    ASSERT_EQ(report.jobs.size(), 2u);
-
-    EXPECT_FALSE(report.jobs[0].skipped);
-    EXPECT_TRUE(report.jobs[0].cached);
-    EXPECT_EQ(report.jobs[0].specHash, 0xdeadbeefull);
-    EXPECT_EQ(report.jobs[0].run.cycles, 200u);
-
-    EXPECT_FALSE(report.jobs[1].skipped);
-    EXPECT_TRUE(report.jobs[1].failed);
-    EXPECT_EQ(report.jobs[1].cause,
-              driver::FailureCause::NonzeroExit);
-    EXPECT_EQ(report.jobs[1].exitCode, 7);
-}
-
-TEST(Report, UnknownFailureCauseFallsBackWithWarning)
-{
-    bool known = true;
-    EXPECT_EQ(driver::failureCauseFromName("bogus-token", &known),
-              driver::FailureCause::Exception);
-    EXPECT_FALSE(known);
-    known = false;
-    EXPECT_EQ(driver::failureCauseFromName("timeout", &known),
-              driver::FailureCause::Timeout);
-    EXPECT_TRUE(known);
-    EXPECT_EQ(driver::failureCauseFromName("nonzero-exit"),
-              driver::FailureCause::NonzeroExit);
 }
 
 TEST(Report, FromJsonRejectsUnknownSchema)
@@ -1163,7 +976,7 @@ TEST(Shard, ShardReportJsonRoundTrips)
     json::Value doc;
     std::string err;
     ASSERT_TRUE(json::Value::parse(ss.str(), doc, &err)) << err;
-    EXPECT_EQ(doc.at("schema").str(), "chex-campaign-report-v6");
+    EXPECT_EQ(doc.at("schema").str(), "chex-campaign-report-v7");
     EXPECT_EQ(doc.at("shard").at("index").number(), 0.0);
     EXPECT_EQ(doc.at("shard").at("count").number(), 2.0);
     EXPECT_EQ(doc.at("summary").at("jobsSkipped").number(), 4.0);
@@ -1194,10 +1007,11 @@ TEST(Shard, ShardReportJsonRoundTrips)
 TEST(Shard, FromJsonRejectsBadShardGeometry)
 {
     const char *base = R"({
-      "schema": "chex-campaign-report-v4",
+      "schema": "chex-campaign-report-v7",
       "seed": 1, "workers": 1,
       "shard": {"index": %s, "count": %s},
-      "summary": {"jobsRun": 0, "jobsFailed": 0,
+      "summary": {"jobsRun": 0, "jobsFailed": 0, "jobsCached": 0,
+                  "jobsSkipped": 0, "jobsFromSnapshot": 0,
                   "wallSeconds": 0, "serialSeconds": 0,
                   "speedupVsSerial": 0, "totalCycles": 0,
                   "totalUops": 0, "aggregateIpc": 0},
@@ -1206,7 +1020,7 @@ TEST(Shard, FromJsonRejectsBadShardGeometry)
     for (auto [index, count] : {std::pair<const char *, const char *>
                                     {"2", "2"},
                                 {"0", "0"}}) {
-        char buf[512];
+        char buf[640];
         std::snprintf(buf, sizeof(buf), base, index, count);
         json::Value doc;
         ASSERT_TRUE(json::Value::parse(buf, doc, nullptr));
@@ -1618,7 +1432,7 @@ TEST(SnapshotCampaign, ReportV5RoundTripsFromSnapshotFlag)
     json::Value doc;
     std::string err;
     ASSERT_TRUE(json::Value::parse(ss.str(), doc, &err)) << err;
-    EXPECT_EQ(doc.at("schema").str(), "chex-campaign-report-v6");
+    EXPECT_EQ(doc.at("schema").str(), "chex-campaign-report-v7");
     EXPECT_EQ(doc.at("summary").at("jobsFromSnapshot").number(),
               double(jobs.size()));
     for (size_t i = 0; i < doc.at("jobs").size(); ++i)
@@ -1630,6 +1444,225 @@ TEST(SnapshotCampaign, ReportV5RoundTripsFromSnapshotFlag)
     for (size_t i = 0; i < back.jobs.size(); ++i) {
         EXPECT_TRUE(back.jobs[i].fromSnapshot);
         EXPECT_EQ(back.jobs[i].specHash, report.jobs[i].specHash);
+    }
+}
+
+TEST(SnapshotCampaign, MergedShardsKeepTheSummaryCounts)
+{
+    const uint64_t seed = 9;
+    std::vector<driver::JobSpec> jobs = pinnedMatrix(seed, 50);
+    driver::CampaignOptions opts;
+    opts.workers = 2;
+    opts.seed = seed;
+    opts.snapshot = bundleFor(jobs, seed, 500);
+    driver::CampaignReport whole = driver::runCampaign(jobs, opts);
+
+    std::vector<driver::CampaignReport> shards;
+    for (unsigned i = 0; i < 2; ++i) {
+        opts.shardIndex = i;
+        opts.shardCount = 2;
+        shards.push_back(driver::runCampaign(jobs, opts));
+    }
+    driver::CampaignReport merged;
+    std::string err;
+    ASSERT_TRUE(driver::mergeReports(shards, merged, &err)) << err;
+
+    EXPECT_EQ(merged.jobsRun, whole.jobsRun);
+    EXPECT_EQ(merged.jobsFailed, whole.jobsFailed);
+    EXPECT_EQ(merged.jobsCached, whole.jobsCached);
+    EXPECT_EQ(merged.jobsSkipped, whole.jobsSkipped);
+    EXPECT_EQ(merged.jobsFromSnapshot, whole.jobsFromSnapshot);
+    EXPECT_EQ(merged.jobsFromSnapshot, jobs.size());
+    EXPECT_EQ(merged.totalCycles, whole.totalCycles);
+    EXPECT_EQ(merged.totalUops, whole.totalUops);
+    EXPECT_EQ(merged.aggregateIpc, whole.aggregateIpc);
+}
+
+/**
+ * Calls @p visit with every copy of @p v that lacks exactly one
+ * object member (at any depth), and with that member's name.
+ */
+void
+eachMemberRemoved(
+    const json::Value &v,
+    const std::function<void(const json::Value &, const std::string &)>
+        &visit)
+{
+    if (v.isArray()) {
+        for (size_t i = 0; i < v.size(); ++i) {
+            eachMemberRemoved(v.at(i), [&](const json::Value &item,
+                                           const std::string &name) {
+                json::Value copy = json::Value::array();
+                for (size_t j = 0; j < v.size(); ++j)
+                    copy.push(j == i ? item : v.at(j));
+                visit(copy, name);
+            });
+        }
+        return;
+    }
+    const auto &members = v.members();
+    for (size_t i = 0; i < members.size(); ++i) {
+        // v with member i dropped (@p with null) or replaced.
+        auto rebuilt = [&](const json::Value *with) {
+            json::Value copy = json::Value::object();
+            for (size_t j = 0; j < members.size(); ++j) {
+                if (j != i)
+                    copy.set(members[j].first, members[j].second);
+                else if (with)
+                    copy.set(members[j].first, *with);
+            }
+            return copy;
+        };
+        visit(rebuilt(nullptr), members[i].first);
+        eachMemberRemoved(members[i].second,
+                          [&](const json::Value &inner,
+                              const std::string &name) {
+                              visit(rebuilt(&inner), name);
+                          });
+    }
+}
+
+/**
+ * @p v with the value at @p path (member names, or decimal indices
+ * into arrays) replaced by @p leaf.
+ */
+json::Value
+patched(const json::Value &v, const std::vector<std::string> &path,
+        const json::Value &leaf, size_t depth = 0)
+{
+    if (depth == path.size())
+        return leaf;
+    if (v.isArray()) {
+        json::Value copy = json::Value::array();
+        for (size_t i = 0; i < v.size(); ++i) {
+            copy.push(std::to_string(i) == path[depth]
+                          ? patched(v.at(i), path, leaf, depth + 1)
+                          : v.at(i));
+        }
+        return copy;
+    }
+    json::Value copy = json::Value::object();
+    for (const auto &[key, member] : v.members()) {
+        copy.set(key, key == path[depth]
+                          ? patched(member, path, leaf, depth + 1)
+                          : member);
+    }
+    return copy;
+}
+
+TEST(Report, StrictReaderRoundTripsAndRejectsEveryDefect)
+{
+    // One campaign with every row shape: from-snapshot, cached and
+    // attack rows, the four failure causes, and (shard 0 of 2, each
+    // job twice) a skipped placeholder behind every one of them.
+    const uint64_t seed = 9;
+    std::vector<driver::JobSpec> pinned = pinnedMatrix(seed, 50);
+    driver::JobSpec from_snapshot = pinned[0];
+    driver::JobSpec cached = pinned[2];
+    driver::JobSpec attack;
+    attack.label = "gen/mix#0/ucode-pred";
+    attack.attack = "gen/mix";
+    attack.profile = attackProfile();
+    attack.config.variant.kind = VariantKind::MicrocodePrediction;
+    attack.workloadSeed = seed;
+    std::vector<driver::JobSpec> failing(4, pinned[1]);
+    failing[0].body = [](const driver::JobSpec &, uint64_t) -> RunResult {
+        chex_panic("deliberate test panic");
+    };
+    failing[1].body = [](const driver::JobSpec &, uint64_t) -> RunResult {
+        for (;;)
+            std::this_thread::sleep_for(std::chrono::seconds(1));
+    };
+    failing[2].body = [](const driver::JobSpec &, uint64_t) -> RunResult {
+        ::_exit(7);
+    };
+    failing[3].body = [](const driver::JobSpec &, uint64_t) -> RunResult {
+        throw std::runtime_error("boom");
+    };
+
+    std::vector<driver::JobSpec> jobs;
+    for (const driver::JobSpec &spec :
+         {from_snapshot, cached, attack, failing[0], failing[1],
+          failing[2], failing[3]}) {
+        jobs.push_back(spec);
+        jobs.push_back(spec);
+    }
+    driver::CampaignOptions opts;
+    opts.workers = 4;
+    opts.seed = seed;
+    opts.isolation = true;
+    opts.timeoutSeconds = 1.0;
+    opts.shardIndex = 0;
+    opts.shardCount = 2;
+    opts.snapshot = bundleFor({from_snapshot}, seed, 500);
+    opts.cacheReports.push_back(driver::runCampaign({cached}, {}));
+    driver::CampaignReport report = driver::runCampaign(jobs, opts);
+    ASSERT_EQ(report.jobsSkipped, 7u);
+    ASSERT_EQ(report.jobsFromSnapshot, 1u);
+    ASSERT_EQ(report.jobsCached, 1u);
+    ASSERT_EQ(report.jobsFailed, 4u);
+    ASSERT_FALSE(report.jobs[4].run.violations.empty());
+    std::set<driver::FailureCause> causes;
+    for (const driver::JobResult &jr : report.jobs)
+        causes.insert(jr.cause);
+    ASSERT_EQ(causes.size(), 5u); // none + the four failure causes
+
+    // toJson -> dump -> parse -> fromJson -> toJson is the identity.
+    const std::string text = driver::toJson(report).dump();
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::Value::parse(text, doc, &err)) << err;
+    driver::CampaignReport back;
+    ASSERT_TRUE(driver::fromJson(doc, back, &err)) << err;
+    EXPECT_EQ(driver::toJson(back).dump(), text);
+
+    // Every member is required: dropping any one fails, naming it.
+    size_t removals = 0;
+    eachMemberRemoved(doc, [&](const json::Value &bad,
+                               const std::string &name) {
+        ++removals;
+        driver::CampaignReport out;
+        std::string why;
+        EXPECT_FALSE(driver::fromJson(bad, out, &why)) << name;
+        EXPECT_NE(why.find(name), std::string::npos)
+            << name << ": " << why;
+    });
+    EXPECT_GT(removals, 300u);
+
+    // Wrong types, inexact integers, and unknown tokens fail too.
+    struct Defect
+    {
+        std::vector<std::string> path;
+        json::Value value;
+    };
+    const Defect defects[] = {
+        {{"schema"}, "chex-campaign-report-v6"},
+        {{"seed"}, 1.5},
+        {{"seed"}, -1},
+        {{"seed"}, 18446744073709551616.0},
+        {{"workers"}, "2"},
+        {{"shard", "count"}, true},
+        {{"summary", "wallSeconds"}, "fast"},
+        {{"jobs"}, json::Value::object()},
+        {{"jobs", "0", "specHash"}, "not-a-hash"},
+        {{"jobs", "0", "status"}, "done"},
+        {{"jobs", "0", "attemptSeconds"}, json::Value::array().push("1")},
+        {{"jobs", "0", "result", "cycles"}, "12"},
+        {{"jobs", "0", "result", "exited"}, 1},
+        {{"jobs", "4", "attack"}, 3},
+        {{"jobs", "4", "result", "violations", "0", "kind"}, "bogus"},
+        {{"jobs", "4", "result", "violations", "0", "pid"},
+         uint64_t(1) << 40},
+        {{"jobs", "6", "cause"}, "bogus-token"},
+        {{"jobs", "6", "signal"}, 6.5},
+    };
+    for (const Defect &d : defects) {
+        driver::CampaignReport out;
+        std::string why;
+        EXPECT_FALSE(driver::fromJson(patched(doc, d.path, d.value), out,
+                                      &why))
+            << d.path.back();
+        EXPECT_NE(why.find(d.path.back()), std::string::npos) << why;
     }
 }
 

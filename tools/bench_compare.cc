@@ -1,54 +1,51 @@
 /**
  * @file
  * Perf-record comparator for CI: `bench-compare BASELINE NEW` diffs
- * two committed benchmark documents of the same schema. Supported
- * schemas:
+ * two committed benchmark documents of the same schema. Every
+ * supported schema is one entry of the table below:
  *
  *  - chex-bench-throughput-v1 (micro_throughput → the committed
  *    BENCH_throughput.json): per-variant retired-work counts and
  *    host µops/second.
- *  - chex-bench-capscale-v1 (cap_scale → the committed
- *    BENCH_capscale.json): per-live-target capability-table op
- *    counts, peak shadow bytes, result checksum, and host ops/second.
- *  - chex-bench-aliasscale-v1 (alias_scale → the committed
- *    BENCH_aliasscale.json): per-live-target alias-table op counts,
- *    live entries, node counts, peak/end shadow bytes, result
- *    checksum, and host ops/second.
- *  - chex-security-report-v1 (chex-campaign attack → the committed
- *    BENCH_security.json): per-variant attack/detected/anchor
- *    counts, violation-class breakdown, baseline validity, and
- *    escape count. Everything is deterministic-output drift here —
- *    there are no wall-clock fields — and a detection-rate drop is
- *    flagged by name as the headline regression.
+ *  - chex-bench-capscale-v1 (cap_scale → BENCH_capscale.json):
+ *    per-live-target capability-table op counts, capability totals,
+ *    peak shadow bytes, result checksum, and host ops/second.
+ *  - chex-bench-aliasscale-v1 (alias_scale → BENCH_aliasscale.json):
+ *    per-live-target alias-table op counts, live entries, node
+ *    counts, peak/end shadow bytes, result checksum, and host
+ *    ops/second.
+ *  - chex-security-report-v1 (chex-campaign attack →
+ *    BENCH_security.json): campaign job counts, baseline validity,
+ *    escape count, and per-variant attack/detected/anchor counts,
+ *    violation-class breakdown, and detection rate.
  *
- * Two classes of divergence, with different severities:
+ * An entry names the record's parts and how each one compares:
  *
- *  - Deterministic-output drift (macroOps/uops/cycles for
- *    throughput; ops/totalCapabilities/liveCapabilities/
- *    peakShadowBytes/checksum for capscale; ops/liveEntries/
- *    liveNodes/peakShadowBytes/endShadowBytes/checksum for
- *    aliasscale): FATAL. These are pure
- *    functions of (schema inputs, seed, scale); host-side
- *    optimizations must not move them. A mismatch means semantics
- *    changed — either a bug, or a deliberate model change that
- *    forgot to regenerate the committed record.
+ *  - cell fields: the measurement point (seed, scale, ...). Records
+ *    of different cells are not comparable: exit 1.
+ *  - exact fields, at the top level or per row (rows are matched by
+ *    their key field): deterministic outputs, pure functions of the
+ *    cell. Host-side optimizations must not move them, so any drift
+ *    is FATAL — a bug, or a deliberate model change that forgot to
+ *    regenerate the committed record. An object-valued field
+ *    compares member by member, an array-valued one by length.
+ *  - the rate field: host throughput depends on the machine running
+ *    the comparison, so a drop past --tolerance (default 25%) only
+ *    warns. The security report's rate is its detection rate, a
+ *    deterministic output whose every drop is FATAL and called out
+ *    by name: it is the regression that comparison exists to catch.
  *
- *  - Wall-clock regression (uopsPerSecond / opsPerSecond): WARNING
- *    only. Host throughput depends on the machine running the
- *    comparison, so a shared-runner CI cannot gate on it — but a
- *    drop past the threshold (default 25%, override with
- *    --tolerance) is loud in the log so a perf cliff does not land
- *    silently.
- *
+ * A field missing from either record is FATAL, never read as 0.
  * Exit status: 0 on match (warnings included), 1 on fatal drift or
  * unreadable/mismatched inputs.
  */
 
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -60,7 +57,43 @@ namespace
 
 using chex::json::Value;
 
+struct RecordSchema
+{
+    const char *schema;
+    std::vector<std::string> cell;  // must match, else exit 1
+    std::vector<std::string> exact; // top level ("a.b" descends)
+    const char *rows;               // the rows array ...
+    const char *key;                // ... and the field keying it
+    std::vector<std::string> rowExact;
+    const char *rate;
+    const char *rateLabel;
+    bool rateDropFatal; // any drop is FATAL (else: warn past tolerance)
+};
+
+const RecordSchema Schemas[] = {
+    {"chex-bench-throughput-v1", {"profile", "scale", "seed"}, {},
+     "variants", "variant", {"macroOps", "uops", "cycles"},
+     "uopsPerSecond", "uops/s", false},
+    {"chex-bench-capscale-v1", {"seed", "scale", "churnOps"}, {},
+     "rows", "liveTarget",
+     {"ops", "totalCapabilities", "liveCapabilities", "peakShadowBytes",
+      "checksum"},
+     "opsPerSecond", "ops/s", false},
+    {"chex-bench-aliasscale-v1", {"seed", "scale", "churnOps"}, {},
+     "rows", "liveTarget",
+     {"ops", "liveEntries", "peakShadowBytes", "endShadowBytes",
+      "liveNodes", "checksum"},
+     "opsPerSecond", "ops/s", false},
+    {"chex-security-report-v1", {"campaignSeed"},
+     {"attackJobs", "failedJobs", "baseline.checked", "baseline.valid",
+      "escaped"},
+     "variants", "variant",
+     {"attacks", "detected", "anchorMatches", "byClass"},
+     "detectionRate", "detection rate", true},
+};
+
 double g_tolerance = 0.25;
+const char *g_paths[2] = {nullptr, nullptr};
 int g_fatal = 0;
 int g_warnings = 0;
 
@@ -83,467 +116,158 @@ readDoc(const char *path, Value &doc)
     return true;
 }
 
-/**
- * Compare one deterministic uint cell; fatal on drift. Returns true
- * when the cell matched.
- */
-bool
-checkUint(const std::string &row, const char *field, uint64_t b,
-          uint64_t n)
+/** The member at @p path ("a.b" descends), or nullptr. */
+const Value *
+lookup(const Value &doc, const std::string &path)
 {
-    if (b == n)
-        return true;
-    std::fprintf(stderr, "FATAL: %s: %s drifted: %llu -> %llu\n",
-                 row.c_str(), field,
-                 static_cast<unsigned long long>(b),
-                 static_cast<unsigned long long>(n));
-    ++g_fatal;
-    return false;
+    const Value *v = &doc;
+    size_t start = 0;
+    for (;;) {
+        size_t dot = path.find('.', start);
+        v = v->find(path.substr(start, dot - start));
+        if (!v || dot == std::string::npos)
+            return v;
+        start = dot + 1;
+    }
 }
 
-/** Warn when a wall-clock rate dropped past the tolerance. */
-void
-checkRate(const std::string &row, const char *field, double b,
-          double n)
+/** A value as printed in messages and compared as a key. */
+std::string
+text(const Value &v)
 {
-    if (b > 0.0 && n < b * (1.0 - g_tolerance)) {
+    return v.isString() ? v.str() : v.dump();
+}
+
+/** Deterministic output: any drift, or absence, is fatal. */
+void
+compareExact(const std::string &row, const std::string &field,
+             const Value *b, const Value *n)
+{
+    if (!b || !n) {
+        std::fprintf(stderr, "FATAL: %s: %s missing from %s\n",
+                     row.c_str(), field.c_str(), g_paths[b ? 1 : 0]);
+        ++g_fatal;
+        return;
+    }
+    if (b->isObject() && n->isObject()) {
+        std::set<std::string> keys;
+        for (const Value *v : {b, n})
+            for (const auto &member : v->members())
+                keys.insert(member.first);
+        for (const std::string &k : keys)
+            compareExact(row, field + "." + k, b->find(k), n->find(k));
+        return;
+    }
+    std::string bt = b->isArray() ? std::to_string(b->size()) : text(*b);
+    std::string nt = n->isArray() ? std::to_string(n->size()) : text(*n);
+    if (bt != nt) {
+        std::fprintf(stderr, "FATAL: %s: %s drifted: %s -> %s\n",
+                     row.c_str(), field.c_str(), bt.c_str(), nt.c_str());
+        ++g_fatal;
+    }
+}
+
+void
+compareRate(const RecordSchema &s, const std::string &row,
+            const Value *b, const Value *n)
+{
+    if (!b || !n || !b->isNumber() || !n->isNumber()) {
+        compareExact(row, s.rate, b && b->isNumber() ? b : nullptr,
+                     n && n->isNumber() ? n : nullptr);
+        return;
+    }
+    double bv = b->number(), nv = n->number();
+    if (s.rateDropFatal && nv < bv) {
+        std::fprintf(stderr, "FATAL: %s: %s dropped %.4f -> %.4f\n",
+                     row.c_str(), s.rateLabel, bv, nv);
+        ++g_fatal;
+    } else if (!s.rateDropFatal && bv > 0.0 &&
+               nv < bv * (1.0 - g_tolerance)) {
         std::fprintf(stderr,
                      "WARNING: %s: %s dropped %.0f -> %.0f "
                      "(-%.1f%%, tolerance %.0f%%)\n",
-                     row.c_str(), field, b, n,
-                     100.0 * (1.0 - n / b), 100.0 * g_tolerance);
+                     row.c_str(), s.rateLabel, bv, nv,
+                     100.0 * (1.0 - nv / bv), 100.0 * g_tolerance);
         ++g_warnings;
     }
 }
 
-// ---------------------------------------------------------------
-// chex-bench-throughput-v1
-// ---------------------------------------------------------------
-
-struct ThroughputRow
-{
-    uint64_t macroOps = 0;
-    uint64_t uops = 0;
-    uint64_t cycles = 0;
-    double uopsPerSecond = 0.0;
-};
-
+/** The record's rows by key; false when they cannot be read. */
 bool
-loadThroughput(const char *path, const Value &doc,
-               std::map<std::string, ThroughputRow> &rows)
+loadRows(const RecordSchema &s, const Value &doc, const char *path,
+         std::map<std::string, const Value *> &rows)
 {
-    const Value *variants = doc.find("variants");
-    if (!variants || !variants->isArray()) {
-        std::fprintf(stderr, "bench-compare: %s: missing variants[]\n",
-                     path);
+    const Value *arr = doc.find(s.rows);
+    if (!arr || !arr->isArray()) {
+        std::fprintf(stderr, "bench-compare: %s: missing %s[]\n", path,
+                     s.rows);
         return false;
     }
-    for (const Value &v : variants->items()) {
-        ThroughputRow r;
-        r.macroOps = chex::json::getUint(v, "macroOps", 0);
-        r.uops = chex::json::getUint(v, "uops", 0);
-        r.cycles = chex::json::getUint(v, "cycles", 0);
-        r.uopsPerSecond = chex::json::getDouble(v, "uopsPerSecond", 0);
-        rows[chex::json::getString(v, "variant", "?")] = r;
+    for (const Value &row : arr->items()) {
+        const Value *key = row.find(s.key);
+        if (!key) {
+            std::fprintf(stderr, "bench-compare: %s: a %s row has no "
+                         "'%s'\n", path, s.rows, s.key);
+            return false;
+        }
+        rows[std::string(s.key) + "=" + text(*key)] = &row;
     }
     return true;
 }
 
 int
-compareThroughput(const char *paths[2], const Value &base_doc,
-                  const Value &new_doc)
+compare(const RecordSchema &s, const Value &base_doc,
+        const Value &new_doc)
 {
-    // The measurement cell (profile/scale/seed) must match exactly.
-    if (chex::json::getString(base_doc, "profile", "") !=
-            chex::json::getString(new_doc, "profile", "") ||
-        chex::json::getUint(base_doc, "scale", 0) !=
-            chex::json::getUint(new_doc, "scale", 0) ||
-        chex::json::getUint(base_doc, "seed", 0) !=
-            chex::json::getUint(new_doc, "seed", 0)) {
-        std::fprintf(stderr,
-                     "bench-compare: profile/scale/seed differ — the "
-                     "records measure different cells\n");
+    for (const std::string &field : s.cell) {
+        const Value *b = base_doc.find(field);
+        const Value *n = new_doc.find(field);
+        if (!b || !n || text(*b) != text(*n)) {
+            std::fprintf(stderr,
+                         "bench-compare: %s differs (%s vs %s) — the "
+                         "records measure different cells\n",
+                         field.c_str(), b ? text(*b).c_str() : "missing",
+                         n ? text(*n).c_str() : "missing");
+            return 1;
+        }
+    }
+
+    std::map<std::string, const Value *> base_rows, new_rows;
+    if (!loadRows(s, base_doc, g_paths[0], base_rows) ||
+        !loadRows(s, new_doc, g_paths[1], new_rows)) {
         return 1;
     }
 
-    std::map<std::string, ThroughputRow> base_rows, new_rows;
-    if (!loadThroughput(paths[0], base_doc, base_rows) ||
-        !loadThroughput(paths[1], new_doc, new_rows)) {
-        return 1;
+    for (const std::string &field : s.exact) {
+        compareExact("record", field, lookup(base_doc, field),
+                     lookup(new_doc, field));
     }
-
     for (const auto &[name, b] : base_rows) {
         auto it = new_rows.find(name);
         if (it == new_rows.end()) {
-            std::fprintf(stderr,
-                         "FATAL: variant '%s' missing from %s\n",
-                         name.c_str(), paths[1]);
+            std::fprintf(stderr, "FATAL: %s missing from %s\n",
+                         name.c_str(), g_paths[1]);
             ++g_fatal;
             continue;
         }
-        const ThroughputRow &n = it->second;
-        checkUint(name, "macroOps", b.macroOps, n.macroOps);
-        checkUint(name, "uops", b.uops, n.uops);
-        checkUint(name, "cycles", b.cycles, n.cycles);
-        checkRate(name, "uops/s", b.uopsPerSecond, n.uopsPerSecond);
+        const Value *n = it->second;
+        compareRate(s, name, b->find(s.rate), n->find(s.rate));
+        for (const std::string &field : s.rowExact)
+            compareExact(name, field, b->find(field), n->find(field));
     }
-    for (const auto &[name, r] : new_rows) {
-        (void)r;
+    for (const auto &[name, row] : new_rows) {
+        (void)row;
         if (!base_rows.count(name))
-            std::fprintf(stderr,
-                         "note: new variant '%s' not in baseline\n",
+            std::fprintf(stderr, "note: new %s not in baseline\n",
                          name.c_str());
     }
 
     if (g_fatal)
         return 1;
     std::fprintf(stderr,
-                 "bench-compare: simulated counts match for all %zu "
-                 "variants (%d wall-clock warning(s))\n",
-                 base_rows.size(), g_warnings);
-    return 0;
-}
-
-// ---------------------------------------------------------------
-// chex-bench-capscale-v1
-// ---------------------------------------------------------------
-
-struct CapScaleRow
-{
-    uint64_t ops = 0;
-    uint64_t totalCaps = 0;
-    uint64_t liveCaps = 0;
-    uint64_t peakShadowBytes = 0;
-    uint64_t checksum = 0;
-    double opsPerSecond = 0.0;
-};
-
-bool
-loadCapScale(const char *path, const Value &doc,
-             std::map<uint64_t, CapScaleRow> &rows)
-{
-    const Value *arr = doc.find("rows");
-    if (!arr || !arr->isArray()) {
-        std::fprintf(stderr, "bench-compare: %s: missing rows[]\n",
-                     path);
-        return false;
-    }
-    for (const Value &v : arr->items()) {
-        CapScaleRow r;
-        r.ops = chex::json::getUint(v, "ops", 0);
-        r.totalCaps = chex::json::getUint(v, "totalCapabilities", 0);
-        r.liveCaps = chex::json::getUint(v, "liveCapabilities", 0);
-        r.peakShadowBytes =
-            chex::json::getUint(v, "peakShadowBytes", 0);
-        r.checksum = chex::json::getUint(v, "checksum", 0);
-        r.opsPerSecond = chex::json::getDouble(v, "opsPerSecond", 0);
-        rows[chex::json::getUint(v, "liveTarget", 0)] = r;
-    }
-    return true;
-}
-
-int
-compareCapScale(const char *paths[2], const Value &base_doc,
-                const Value &new_doc)
-{
-    // The measurement cell (seed/scale/churnOps) must match exactly.
-    if (chex::json::getUint(base_doc, "seed", 0) !=
-            chex::json::getUint(new_doc, "seed", 0) ||
-        chex::json::getUint(base_doc, "scale", 0) !=
-            chex::json::getUint(new_doc, "scale", 0) ||
-        chex::json::getUint(base_doc, "churnOps", 0) !=
-            chex::json::getUint(new_doc, "churnOps", 0)) {
-        std::fprintf(stderr,
-                     "bench-compare: seed/scale/churnOps differ — "
-                     "the records measure different cells\n");
-        return 1;
-    }
-
-    std::map<uint64_t, CapScaleRow> base_rows, new_rows;
-    if (!loadCapScale(paths[0], base_doc, base_rows) ||
-        !loadCapScale(paths[1], new_doc, new_rows)) {
-        return 1;
-    }
-
-    for (const auto &[target, b] : base_rows) {
-        auto it = new_rows.find(target);
-        if (it == new_rows.end()) {
-            std::fprintf(
-                stderr,
-                "FATAL: live target %llu missing from %s\n",
-                static_cast<unsigned long long>(target), paths[1]);
-            ++g_fatal;
-            continue;
-        }
-        const CapScaleRow &n = it->second;
-        std::string name =
-            "live=" + std::to_string(target);
-        checkUint(name, "ops", b.ops, n.ops);
-        checkUint(name, "totalCapabilities", b.totalCaps,
-                  n.totalCaps);
-        checkUint(name, "liveCapabilities", b.liveCaps, n.liveCaps);
-        checkUint(name, "peakShadowBytes", b.peakShadowBytes,
-                  n.peakShadowBytes);
-        checkUint(name, "checksum", b.checksum, n.checksum);
-        checkRate(name, "ops/s", b.opsPerSecond, n.opsPerSecond);
-    }
-    for (const auto &[target, r] : new_rows) {
-        (void)r;
-        if (!base_rows.count(target))
-            std::fprintf(
-                stderr,
-                "note: new live target %llu not in baseline\n",
-                static_cast<unsigned long long>(target));
-    }
-
-    if (g_fatal)
-        return 1;
-    std::fprintf(stderr,
-                 "bench-compare: deterministic counts match for all "
-                 "%zu live targets (%d wall-clock warning(s))\n",
-                 base_rows.size(), g_warnings);
-    return 0;
-}
-
-// ---------------------------------------------------------------
-// chex-bench-aliasscale-v1
-// ---------------------------------------------------------------
-
-struct AliasScaleRow
-{
-    uint64_t ops = 0;
-    uint64_t liveEntries = 0;
-    uint64_t peakShadowBytes = 0;
-    uint64_t endShadowBytes = 0;
-    uint64_t liveNodes = 0;
-    uint64_t checksum = 0;
-    double opsPerSecond = 0.0;
-};
-
-bool
-loadAliasScale(const char *path, const Value &doc,
-               std::map<uint64_t, AliasScaleRow> &rows)
-{
-    const Value *arr = doc.find("rows");
-    if (!arr || !arr->isArray()) {
-        std::fprintf(stderr, "bench-compare: %s: missing rows[]\n",
-                     path);
-        return false;
-    }
-    for (const Value &v : arr->items()) {
-        AliasScaleRow r;
-        r.ops = chex::json::getUint(v, "ops", 0);
-        r.liveEntries = chex::json::getUint(v, "liveEntries", 0);
-        r.peakShadowBytes =
-            chex::json::getUint(v, "peakShadowBytes", 0);
-        r.endShadowBytes =
-            chex::json::getUint(v, "endShadowBytes", 0);
-        r.liveNodes = chex::json::getUint(v, "liveNodes", 0);
-        r.checksum = chex::json::getUint(v, "checksum", 0);
-        r.opsPerSecond = chex::json::getDouble(v, "opsPerSecond", 0);
-        rows[chex::json::getUint(v, "liveTarget", 0)] = r;
-    }
-    return true;
-}
-
-int
-compareAliasScale(const char *paths[2], const Value &base_doc,
-                  const Value &new_doc)
-{
-    // The measurement cell (seed/scale/churnOps) must match exactly.
-    if (chex::json::getUint(base_doc, "seed", 0) !=
-            chex::json::getUint(new_doc, "seed", 0) ||
-        chex::json::getUint(base_doc, "scale", 0) !=
-            chex::json::getUint(new_doc, "scale", 0) ||
-        chex::json::getUint(base_doc, "churnOps", 0) !=
-            chex::json::getUint(new_doc, "churnOps", 0)) {
-        std::fprintf(stderr,
-                     "bench-compare: seed/scale/churnOps differ — "
-                     "the records measure different cells\n");
-        return 1;
-    }
-
-    std::map<uint64_t, AliasScaleRow> base_rows, new_rows;
-    if (!loadAliasScale(paths[0], base_doc, base_rows) ||
-        !loadAliasScale(paths[1], new_doc, new_rows)) {
-        return 1;
-    }
-
-    for (const auto &[target, b] : base_rows) {
-        auto it = new_rows.find(target);
-        if (it == new_rows.end()) {
-            std::fprintf(
-                stderr,
-                "FATAL: live target %llu missing from %s\n",
-                static_cast<unsigned long long>(target), paths[1]);
-            ++g_fatal;
-            continue;
-        }
-        const AliasScaleRow &n = it->second;
-        std::string name = "live=" + std::to_string(target);
-        checkUint(name, "ops", b.ops, n.ops);
-        checkUint(name, "liveEntries", b.liveEntries, n.liveEntries);
-        checkUint(name, "peakShadowBytes", b.peakShadowBytes,
-                  n.peakShadowBytes);
-        checkUint(name, "endShadowBytes", b.endShadowBytes,
-                  n.endShadowBytes);
-        checkUint(name, "liveNodes", b.liveNodes, n.liveNodes);
-        checkUint(name, "checksum", b.checksum, n.checksum);
-        checkRate(name, "ops/s", b.opsPerSecond, n.opsPerSecond);
-    }
-    for (const auto &[target, r] : new_rows) {
-        (void)r;
-        if (!base_rows.count(target))
-            std::fprintf(
-                stderr,
-                "note: new live target %llu not in baseline\n",
-                static_cast<unsigned long long>(target));
-    }
-
-    if (g_fatal)
-        return 1;
-    std::fprintf(stderr,
-                 "bench-compare: deterministic counts match for all "
-                 "%zu live targets (%d wall-clock warning(s))\n",
-                 base_rows.size(), g_warnings);
-    return 0;
-}
-
-// ---------------------------------------------------------------
-// chex-security-report-v1
-// ---------------------------------------------------------------
-
-struct SecurityVariantRow
-{
-    uint64_t attacks = 0;
-    uint64_t detected = 0;
-    uint64_t anchorMatches = 0;
-    double detectionRate = 0.0;
-    std::map<std::string, uint64_t> byClass;
-};
-
-bool
-loadSecurity(const char *path, const Value &doc,
-             std::map<std::string, SecurityVariantRow> &rows)
-{
-    const Value *variants = doc.find("variants");
-    if (!variants || !variants->isArray()) {
-        std::fprintf(stderr, "bench-compare: %s: missing variants[]\n",
-                     path);
-        return false;
-    }
-    for (const Value &v : variants->items()) {
-        SecurityVariantRow r;
-        r.attacks = chex::json::getUint(v, "attacks", 0);
-        r.detected = chex::json::getUint(v, "detected", 0);
-        r.anchorMatches = chex::json::getUint(v, "anchorMatches", 0);
-        r.detectionRate = chex::json::getDouble(v, "detectionRate", 0);
-        if (const Value *by_class = v.find("byClass")) {
-            for (const auto &[cls, n] : by_class->members())
-                r.byClass[cls] = n.isNumber() ? n.asUint64() : 0;
-        }
-        rows[chex::json::getString(v, "variant", "?")] = r;
-    }
-    return true;
-}
-
-int
-compareSecurity(const char *paths[2], const Value &base_doc,
-                const Value &new_doc)
-{
-    // Same campaign seed, or the reports sweep different exploit
-    // populations entirely.
-    if (chex::json::getUint(base_doc, "campaignSeed", 0) !=
-        chex::json::getUint(new_doc, "campaignSeed", 0)) {
-        std::fprintf(stderr,
-                     "bench-compare: campaignSeed differs — the "
-                     "reports sweep different attack populations\n");
-        return 1;
-    }
-
-    checkUint("campaign", "attackJobs",
-              chex::json::getUint(base_doc, "attackJobs", 0),
-              chex::json::getUint(new_doc, "attackJobs", 0));
-    checkUint("campaign", "failedJobs",
-              chex::json::getUint(base_doc, "failedJobs", 0),
-              chex::json::getUint(new_doc, "failedJobs", 0));
-
-    const Value *base_bl = base_doc.find("baseline");
-    const Value *new_bl = new_doc.find("baseline");
-    if (base_bl && new_bl) {
-        checkUint("baseline", "checked",
-                  chex::json::getUint(*base_bl, "checked", 0),
-                  chex::json::getUint(*new_bl, "checked", 0));
-        checkUint("baseline", "valid",
-                  chex::json::getUint(*base_bl, "valid", 0),
-                  chex::json::getUint(*new_bl, "valid", 0));
-    }
-
-    std::map<std::string, SecurityVariantRow> base_rows, new_rows;
-    if (!loadSecurity(paths[0], base_doc, base_rows) ||
-        !loadSecurity(paths[1], new_doc, new_rows)) {
-        return 1;
-    }
-
-    for (const auto &[name, b] : base_rows) {
-        auto it = new_rows.find(name);
-        if (it == new_rows.end()) {
-            std::fprintf(stderr,
-                         "FATAL: variant '%s' missing from %s\n",
-                         name.c_str(), paths[1]);
-            ++g_fatal;
-            continue;
-        }
-        const SecurityVariantRow &n = it->second;
-        // A detection-rate drop is THE regression this comparator
-        // exists to catch: an enforcement variant newly missing
-        // exploits it used to stop. Call it out by name before the
-        // raw count diffs.
-        if (n.detectionRate < b.detectionRate) {
-            std::fprintf(stderr,
-                         "FATAL: %s: detection rate dropped %.4f -> "
-                         "%.4f\n",
-                         name.c_str(), b.detectionRate,
-                         n.detectionRate);
-            ++g_fatal;
-        }
-        checkUint(name, "attacks", b.attacks, n.attacks);
-        checkUint(name, "detected", b.detected, n.detected);
-        checkUint(name, "anchorMatches", b.anchorMatches,
-                  n.anchorMatches);
-        for (const auto &[cls, count] : b.byClass) {
-            auto cit = n.byClass.find(cls);
-            checkUint(name, ("byClass." + cls).c_str(), count,
-                      cit == n.byClass.end() ? 0 : cit->second);
-        }
-        for (const auto &[cls, count] : n.byClass) {
-            if (!b.byClass.count(cls))
-                checkUint(name, ("byClass." + cls).c_str(), 0,
-                          count);
-        }
-    }
-    for (const auto &[name, r] : new_rows) {
-        (void)r;
-        if (!base_rows.count(name))
-            std::fprintf(stderr,
-                         "note: new variant '%s' not in baseline\n",
-                         name.c_str());
-    }
-
-    const Value *base_esc = base_doc.find("escaped");
-    const Value *new_esc = new_doc.find("escaped");
-    checkUint("campaign", "escaped",
-              base_esc && base_esc->isArray()
-                  ? base_esc->items().size() : 0,
-              new_esc && new_esc->isArray()
-                  ? new_esc->items().size() : 0);
-
-    if (g_fatal)
-        return 1;
-    std::fprintf(stderr,
-                 "bench-compare: security outcomes match for all %zu "
-                 "variants\n",
-                 base_rows.size());
+                 "bench-compare: deterministic outputs match for all "
+                 "%zu %s (%d wall-clock warning(s))\n",
+                 base_rows.size(), s.rows, g_warnings);
     return 0;
 }
 
@@ -552,13 +276,12 @@ compareSecurity(const char *paths[2], const Value &base_doc,
 int
 main(int argc, char **argv)
 {
-    const char *paths[2] = {nullptr, nullptr};
     int npaths = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
             g_tolerance = std::atof(argv[++i]);
         } else if (npaths < 2) {
-            paths[npaths++] = argv[i];
+            g_paths[npaths++] = argv[i];
         } else {
             npaths = 3; // too many
             break;
@@ -572,35 +295,28 @@ main(int argc, char **argv)
     }
 
     Value base_doc, new_doc;
-    if (!readDoc(paths[0], base_doc) || !readDoc(paths[1], new_doc))
+    if (!readDoc(g_paths[0], base_doc) || !readDoc(g_paths[1], new_doc))
         return 1;
 
-    std::string base_schema =
-        chex::json::getString(base_doc, "schema", "");
-    std::string new_schema =
-        chex::json::getString(new_doc, "schema", "");
-    if (base_schema != new_schema) {
+    const Value *base_schema = base_doc.find("schema");
+    const Value *new_schema = new_doc.find("schema");
+    std::string schema = base_schema ? text(*base_schema) : "";
+    if (!new_schema || text(*new_schema) != schema) {
         std::fprintf(stderr,
                      "bench-compare: schema mismatch: %s is '%s', "
                      "%s is '%s'\n",
-                     paths[0], base_schema.c_str(), paths[1],
-                     new_schema.c_str());
+                     g_paths[0], schema.c_str(), g_paths[1],
+                     new_schema ? text(*new_schema).c_str() : "");
         return 1;
     }
-    if (base_schema == "chex-bench-throughput-v1")
-        return compareThroughput(paths, base_doc, new_doc);
-    if (base_schema == "chex-bench-capscale-v1")
-        return compareCapScale(paths, base_doc, new_doc);
-    if (base_schema == "chex-bench-aliasscale-v1")
-        return compareAliasScale(paths, base_doc, new_doc);
-    if (base_schema == "chex-security-report-v1")
-        return compareSecurity(paths, base_doc, new_doc);
+    for (const RecordSchema &s : Schemas)
+        if (schema == s.schema)
+            return compare(s, base_doc, new_doc);
 
-    std::fprintf(stderr,
-                 "bench-compare: unsupported schema '%s' (expected "
-                 "chex-bench-throughput-v1, chex-bench-capscale-v1, "
-                 "chex-bench-aliasscale-v1, or "
-                 "chex-security-report-v1)\n",
-                 base_schema.c_str());
+    std::fprintf(stderr, "bench-compare: unsupported schema '%s' "
+                 "(expected one of:", schema.c_str());
+    for (const RecordSchema &s : Schemas)
+        std::fprintf(stderr, " %s", s.schema);
+    std::fprintf(stderr, ")\n");
     return 1;
 }

@@ -28,9 +28,10 @@
  *   chex-campaign merge --out report.json shard0.json shard1.json
  *
  * Incremental re-runs pass previous reports (merged ones included)
- * as a result cache:
+ * as a result cache; --out may name a --cache input, which is read
+ * before it is rewritten:
  *
- *   chex-campaign run ... --cache report.json --out report2.json
+ *   chex-campaign run ... --cache report.json --out report.json
  *
  * Checkpoint once, sweep many: warm each job point past the
  * workload's warm-up prefix, then fan campaigns out from the
@@ -127,6 +128,51 @@ parseUint(const std::string &s, uint64_t &out)
         return false;
     out = v;
     return true;
+}
+
+/**
+ * Load every --cache report into @p opts (none with --no-cache). An
+ * unreadable or malformed cache is a hard error: the user asked for
+ * it, and re-simulating everything would be the costliest way to
+ * honor that request.
+ */
+bool
+loadCaches(const std::string &ctx, const std::vector<std::string> &paths,
+           bool no_cache, driver::CampaignOptions *opts)
+{
+    if (no_cache)
+        return true;
+    for (const std::string &path : paths) {
+        driver::CampaignReport prior;
+        std::string err;
+        if (!driver::loadReportFile(path, prior, &err)) {
+            std::fprintf(stderr, "%s: cache %s\n", ctx.c_str(),
+                         err.c_str());
+            return false;
+        }
+        opts->cacheReports.push_back(std::move(prior));
+    }
+    return true;
+}
+
+/**
+ * Open (truncate) @p path for a report when it is set. Callers open
+ * their outputs after loading every input, since an output may name
+ * the same file as a --cache input, and before simulating, so a bad
+ * path fails fast.
+ */
+bool
+openOutput(const std::string &ctx, const std::string &path,
+           std::ofstream *out)
+{
+    if (path.empty())
+        return true;
+    out->open(path);
+    if (*out)
+        return true;
+    std::fprintf(stderr, "%s: cannot write '%s'\n", ctx.c_str(),
+                 path.c_str());
+    return false;
 }
 
 void
@@ -341,7 +387,7 @@ runMain(const char *argv0, int argc, char **argv, int begin,
         argv0, bare ? "" : "run",
         "Run a simulation campaign (profiles x variants x reps) on "
         "a\nworker thread pool and emit a JSON report "
-        "(chex-campaign-report-v6).");
+        "(chex-campaign-report-v7).");
     parser.add("--profiles", "LIST",
                "comma-separated profile names, or one of\n"
                "'spec', 'parsec', 'all', 'server' (default: spec)",
@@ -489,18 +535,6 @@ runMain(const char *argv0, int argc, char **argv, int begin,
     std::vector<driver::JobSpec> specs =
         buildSpecs(profiles, variants, reps, seed);
 
-    // Open the report file before burning simulation time on the
-    // campaign, so a bad path fails fast.
-    std::ofstream out;
-    if (!out_path.empty()) {
-        out.open(out_path);
-        if (!out) {
-            std::fprintf(stderr, "%s: cannot write '%s'\n", argv0,
-                         out_path.c_str());
-            return 1;
-        }
-    }
-
     driver::CampaignOptions opts;
     opts.workers = static_cast<unsigned>(jobs);
     opts.seed = seed;
@@ -510,22 +544,8 @@ runMain(const char *argv0, int argc, char **argv, int begin,
     opts.shardIndex = shard_index;
     opts.shardCount = shard_count;
 
-    // Load the result cache through the shared loader. An
-    // unreadable cache file is a hard error — the user explicitly
-    // asked for it, and silently re-simulating everything would be
-    // the costliest possible way to honor that request.
-    if (no_cache)
-        cache_paths.clear();
-    for (const std::string &path : cache_paths) {
-        driver::CampaignReport prior;
-        std::string err;
-        if (!driver::loadReportFile(path, prior, &err)) {
-            std::fprintf(stderr, "%s: cache %s\n", argv0,
-                         err.c_str());
-            return 2;
-        }
-        opts.cacheReports.push_back(std::move(prior));
-    }
+    if (!loadCaches(argv0, cache_paths, no_cache, &opts))
+        return 2;
 
     // The snapshot bundle gets the same hard-error policy as the
     // cache: an explicit --from-snapshot that cannot be honored must
@@ -541,6 +561,10 @@ runMain(const char *argv0, int argc, char **argv, int begin,
         opts.snapshot = std::make_shared<const snapshot::Bundle>(
             std::move(bundle));
     }
+
+    std::ofstream out;
+    if (!openOutput(argv0, out_path, &out))
+        return 1;
 
     size_t in_shard = 0;
     for (size_t i = 0; i < specs.size(); ++i)
@@ -658,7 +682,7 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
         "against every variant,\nwith the baseline rows doubling "
         "as exploit validity checks\n(indicator fired => the "
         "corruption really landed). Emits the\nusual campaign "
-        "report (chex-campaign-report-v6) plus the "
+        "report (chex-campaign-report-v7) plus the "
         "distilled\nchex-security-report-v1 (per-variant detection "
         "rate, anchor-class\nbreakdown, baseline validity, escaped "
         "attacks keyed for replay).");
@@ -881,25 +905,6 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
         }
     }
 
-    std::ofstream out;
-    if (!out_path.empty()) {
-        out.open(out_path);
-        if (!out) {
-            std::fprintf(stderr, "%s: cannot write '%s'\n",
-                         ctx.c_str(), out_path.c_str());
-            return 1;
-        }
-    }
-    std::ofstream security_out;
-    if (!security_out_path.empty()) {
-        security_out.open(security_out_path);
-        if (!security_out) {
-            std::fprintf(stderr, "%s: cannot write '%s'\n",
-                         ctx.c_str(), security_out_path.c_str());
-            return 1;
-        }
-    }
-
     driver::CampaignOptions opts;
     opts.workers = static_cast<unsigned>(jobs);
     opts.seed = seed;
@@ -909,17 +914,12 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
     opts.shardIndex = shard_index;
     opts.shardCount = shard_count;
 
-    if (no_cache)
-        cache_paths.clear();
-    for (const std::string &path : cache_paths) {
-        driver::CampaignReport prior;
-        std::string err;
-        if (!driver::loadReportFile(path, prior, &err)) {
-            std::fprintf(stderr, "%s: cache %s\n", ctx.c_str(),
-                         err.c_str());
-            return 2;
-        }
-        opts.cacheReports.push_back(std::move(prior));
+    if (!loadCaches(ctx, cache_paths, no_cache, &opts))
+        return 2;
+    std::ofstream out, security_out;
+    if (!openOutput(ctx, out_path, &out) ||
+        !openOutput(ctx, security_out_path, &security_out)) {
+        return 1;
     }
 
     size_t in_shard = 0;
