@@ -3,38 +3,29 @@
  * Shared helpers for the figure/table regeneration harnesses: run a
  * benchmark profile under a variant and collect the RunResult, or
  * fan a (profile × variant/config) sweep out on the campaign
- * driver's worker pool. Process-wide env knobs (parsed by
- * driver::optionsFromEnv, shared with the chex-campaign CLI):
+ * driver's worker pool. Two env knobs apply to every harness:
  * CHEX_BENCH_SCALE divides iteration counts for quick smoke runs,
- * CHEX_BENCH_JOBS caps the pool width, CHEX_BENCH_ISOLATE /
- * CHEX_BENCH_TIMEOUT fork and watchdog each job, CHEX_BENCH_CACHE
- * points at previous campaign reports whose matching successful jobs
- * are reused instead of re-simulated, CHEX_BENCH_SNAPSHOT points at
- * a snapshot bundle (chex-campaign snapshot) whose matching warmed
- * machine states are restored instead of re-simulating each job's
- * warm-up prefix, and CHEX_BENCH_SHARD=I/N runs
- * only every Nth sweep cell (the resulting figures are partial; the
- * complete-figure path is to shard via the CLI, merge, and feed the
- * merged report back through CHEX_BENCH_CACHE).
+ * and CHEX_BENCH_JOBS caps the pool width (default: all cores). A
+ * malformed value of either is fatal. Caching, sharding, isolation
+ * and snapshot fan-out are `chex-campaign` flags, not harness knobs.
  */
 
 #ifndef CHEX_BENCH_COMMON_HH
 #define CHEX_BENCH_COMMON_HH
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "base/logging.hh"
 #include "driver/campaign.hh"
-#include "driver/env.hh"
-#include "driver/report.hh"
 #include "sim/system.hh"
-#include "snapshot/snapshot.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -43,11 +34,34 @@ namespace chex
 namespace bench
 {
 
+/**
+ * The positive integer in env knob @p name (at most @p max), or
+ * @p dflt when it is unset or empty. Anything else is fatal rather
+ * than quietly replaced by the default.
+ */
+inline uint64_t
+positiveEnv(const char *name, uint64_t dflt,
+            uint64_t max = std::numeric_limits<uint64_t>::max())
+{
+    const char *s = std::getenv(name);
+    if (!s || !*s)
+        return dflt;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(s, &end, 10);
+    if (s[0] < '0' || s[0] > '9' || *end != '\0' || errno != 0 ||
+        v == 0 || v > max) {
+        chex_fatal("%s='%s' is not a positive integer (at most %llu)",
+                   name, s, static_cast<unsigned long long>(max));
+    }
+    return v;
+}
+
 /** Iteration divisor from $CHEX_BENCH_SCALE (default 1). */
 inline uint64_t
 scale()
 {
-    return driver::optionsFromEnv().scale;
+    return positiveEnv("CHEX_BENCH_SCALE", 1);
 }
 
 /** Run @p profile under @p cfg; returns the collected results. */
@@ -82,104 +96,26 @@ runVariant(const BenchmarkProfile &profile, VariantKind kind,
 inline unsigned
 benchJobs()
 {
-    unsigned jobs = driver::optionsFromEnv().jobs;
-    if (jobs)
-        return jobs;
     unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
-}
-
-/** Fork-isolated sweep workers: $CHEX_BENCH_ISOLATE (0/unset = off). */
-inline bool
-benchIsolate()
-{
-    return driver::optionsFromEnv().isolate;
+    return static_cast<unsigned>(
+        positiveEnv("CHEX_BENCH_JOBS", hw ? hw : 1,
+                    std::numeric_limits<unsigned>::max()));
 }
 
 /**
- * Per-attempt watchdog for isolated sweeps, in seconds:
- * $CHEX_BENCH_TIMEOUT (0/unset = no watchdog; non-numbers warn and
- * disable it).
- */
-inline double
-benchTimeout()
-{
-    return driver::optionsFromEnv().timeoutSeconds;
-}
-
-/**
- * Result-cache reports from $CHEX_BENCH_CACHE (colon-separated
- * report paths). Unlike the CLI — where an unreadable --cache file
- * is a hard error — a bad path here warns and is skipped, so a
- * stale environment variable cannot block figure regeneration.
- */
-inline std::vector<driver::CampaignReport>
-benchCacheReports()
-{
-    std::vector<driver::CampaignReport> reports;
-    for (const std::string &path : driver::optionsFromEnv().cachePaths) {
-        driver::CampaignReport rep;
-        std::string err;
-        if (!driver::loadReportFile(path, rep, &err)) {
-            std::fprintf(stderr,
-                         "bench: CHEX_BENCH_CACHE: %s; skipping\n",
-                         err.c_str());
-            continue;
-        }
-        reports.push_back(std::move(rep));
-    }
-    return reports;
-}
-
-/**
- * Warm-state bundle from $CHEX_BENCH_SNAPSHOT (a file written by
- * `chex-campaign snapshot`): sweep cells whose spec hash matches a
- * bundle entry restore the warmed machine instead of re-simulating
- * their warm-up prefix. Same warn-and-skip policy as
- * benchCacheReports — an unreadable or corrupt bundle degrades to
- * from-scratch simulation instead of blocking figure regeneration.
- */
-inline std::shared_ptr<const snapshot::Bundle>
-benchSnapshotBundle()
-{
-    std::string path = driver::optionsFromEnv().snapshotPath;
-    if (path.empty())
-        return nullptr;
-    snapshot::Bundle bundle;
-    std::string err;
-    if (!snapshot::loadBundleFile(path, &bundle, &err)) {
-        std::fprintf(stderr,
-                     "bench: CHEX_BENCH_SNAPSHOT: %s; skipping\n",
-                     err.c_str());
-        return nullptr;
-    }
-    return std::make_shared<const snapshot::Bundle>(std::move(bundle));
-}
-
-/**
- * Run a prepared job list on the campaign driver with the shared
- * bench env knobs (CHEX_BENCH_JOBS/ISOLATE/TIMEOUT/CACHE/SNAPSHOT/
- * SHARD) applied, and return the per-job results in submission
- * order. Every
- * failed cell is reported before exiting — a sweep that dies on the
- * first failure hides every other broken cell, which matters when a
- * config change breaks a whole variant column at once.
- *
- * Under CHEX_BENCH_SHARD, out-of-shard cells come back as zeroed
- * RunResults with a loud note that the figures are partial; sharded
- * harness output is for smoke coverage, not publication tables.
+ * Run a prepared job list on the campaign driver's worker pool
+ * (CHEX_BENCH_JOBS wide) and return the per-job results in
+ * submission order. Every failed cell is reported before exiting — a
+ * sweep that dies on the first failure hides every other broken
+ * cell, which matters when a config change breaks a whole variant
+ * column at once.
  */
 inline std::vector<RunResult>
 runCampaignJobs(std::vector<driver::JobSpec> jobs, uint64_t seed)
 {
-    driver::EnvOptions env = driver::optionsFromEnv();
     driver::CampaignOptions opts;
     opts.seed = seed;
-    env.applyTo(opts);
-    if (!opts.workers)
-        opts.workers = benchJobs();
-    opts.cacheReports = benchCacheReports();
-    opts.snapshot = benchSnapshotBundle();
+    opts.workers = benchJobs();
     driver::CampaignReport report = driver::runCampaign(jobs, opts);
 
     std::vector<RunResult> results;
@@ -192,9 +128,7 @@ runCampaignJobs(std::vector<driver::JobSpec> jobs, uint64_t seed)
         bool attack_outcome =
             jr.index < jobs.size() && !jobs[jr.index].attack.empty() &&
             (jr.run.violationDetected || jr.run.hijackedControlFlow);
-        if (jr.skipped) {
-            // Out-of-shard placeholder, not a failure.
-        } else if (!jr.failed && attack_outcome) {
+        if (!jr.failed && attack_outcome) {
             // A concluded exploit measurement.
         } else if (jr.failed || !jr.run.exited) {
             std::fprintf(stderr,
@@ -211,14 +145,6 @@ runCampaignJobs(std::vector<driver::JobSpec> jobs, uint64_t seed)
                      bad, report.jobs.size());
         std::exit(1);
     }
-    if (report.jobsSkipped) {
-        std::fprintf(stderr,
-                     "bench: CHEX_BENCH_SHARD=%u/%u: %zu of %zu "
-                     "sweep cells out of shard; figures below are "
-                     "partial\n",
-                     report.shardIndex, report.shardCount,
-                     report.jobsSkipped, report.jobs.size());
-    }
     return results;
 }
 
@@ -227,10 +153,6 @@ runCampaignJobs(std::vector<driver::JobSpec> jobs, uint64_t seed)
  * pool. Applies the same CHEX_BENCH_SCALE iteration scaling and the
  * same fixed workload seed as runProfile/runVariant, so the results
  * are identical to the serial helpers — just produced in parallel.
- * CHEX_BENCH_ISOLATE=1 forks each job into its own child (crash
- * capture), CHEX_BENCH_TIMEOUT bounds each attempt's wall clock,
- * and CHEX_BENCH_CACHE satisfies already-simulated cells from prior
- * reports.
  *
  * Returns results in row-major order:
  * `results[pi * variants.size() + vi]`.

@@ -10,9 +10,9 @@
  *
  * The cases come from the central attack registry (one stable ID
  * per case) and run as attack jobs on the campaign driver's worker
- * pool, so the usual bench env knobs (CHEX_BENCH_JOBS/ISOLATE/
- * TIMEOUT/CACHE/SHARD) apply to the security table like any other
- * figure harness.
+ * pool, so CHEX_BENCH_JOBS sets its width like any other figure
+ * harness. (Seeded generated attacks, caching and sharding are the
+ * `chex-campaign attack` subcommand's job.)
  */
 
 #include <iostream>

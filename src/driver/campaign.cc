@@ -1,6 +1,9 @@
 #include "campaign.hh"
 
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <queue>
 #include <stdexcept>
@@ -30,6 +33,49 @@ failureCauseName(FailureCause cause)
       case FailureCause::NonzeroExit: return "nonzero-exit";
       default: return "???";
     }
+}
+
+bool
+parseShardSpec(const std::string &spec, unsigned &index,
+               unsigned &count, std::string *err)
+{
+    auto fail = [&](const std::string &what) {
+        if (err)
+            *err = what;
+        return false;
+    };
+    // A plain decimal that fits an unsigned.
+    auto number = [](const std::string &s, unsigned &out) {
+        if (s.empty() ||
+            s.find_first_not_of("0123456789") != std::string::npos)
+            return false;
+        errno = 0;
+        unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+        if (errno != 0 || v > std::numeric_limits<unsigned>::max())
+            return false;
+        out = static_cast<unsigned>(v);
+        return true;
+    };
+    size_t slash = spec.find('/');
+    if (slash == std::string::npos || slash == 0 ||
+        slash + 1 == spec.size())
+        return fail("expected INDEX/COUNT, e.g. 0/2");
+    std::string idx_s = spec.substr(0, slash);
+    std::string cnt_s = spec.substr(slash + 1);
+    unsigned idx = 0, cnt = 0;
+    if (!number(idx_s, idx))
+        return fail(csprintf("'%s' is not a shard index",
+                             idx_s.c_str()));
+    if (!number(cnt_s, cnt) || cnt == 0)
+        return fail(csprintf("'%s' is not a positive shard count",
+                             cnt_s.c_str()));
+    if (idx >= cnt)
+        return fail(csprintf("shard index %u out of range for %u "
+                             "shards",
+                             idx, cnt));
+    index = idx;
+    count = cnt;
+    return true;
 }
 
 uint64_t

@@ -301,6 +301,14 @@ struct CampaignOptions
 };
 
 /**
+ * Parse a shard spec of the form "I/N" (e.g. "0/2"): N >= 1 shards,
+ * shard index I < N. Returns false — leaving @p index/@p count
+ * untouched — and fills @p err (if non-null) for anything else.
+ */
+bool parseShardSpec(const std::string &spec, unsigned &index,
+                    unsigned &count, std::string *err = nullptr);
+
+/**
  * Derive the workload seed for job @p index of a campaign seeded
  * with @p campaign_seed (splitmix64 finalizer; never returns 0).
  */

@@ -48,9 +48,8 @@ selectReplayRow(const CampaignReport &report,
 
 bool
 planReplay(const CampaignReport &report, size_t index,
-           const SystemConfig &base, uint64_t scale_divisor,
-           const snapshot::Bundle *bundle, ReplayPlan *out,
-           std::string *err)
+           uint64_t scale_divisor, const snapshot::Bundle *bundle,
+           ReplayPlan *out, std::string *err)
 {
     if (index >= report.jobs.size()) {
         return failPlan(err,
@@ -86,13 +85,19 @@ planReplay(const CampaignReport &report, size_t index,
                         csprintf("job %zu uses unknown variant '%s'",
                                  index, row.variant.c_str()));
     }
+    if (row.fromSnapshot && !bundle) {
+        return failPlan(
+            err, csprintf("job %zu ran from a snapshot; pass the "
+                          "bundle it fanned out from "
+                          "(--from-snapshot)",
+                          index));
+    }
 
     ReplayPlan plan;
     plan.index = index;
     plan.spec.label = row.label;
     plan.spec.profile =
         profile->scaledBy(std::max<uint64_t>(1, scale_divisor));
-    plan.spec.config = base;
     plan.spec.config.variant.kind = kind;
     plan.spec.workloadSeed = row.seed;
     plan.spec.repetition = row.repetition;
@@ -106,38 +111,36 @@ planReplay(const CampaignReport &report, size_t index,
     // Verify before anything re-runs: the reconstructed spec must
     // hash to exactly what the campaign recorded, with the
     // snapshot's state hash folded in for from-snapshot rows.
-    uint64_t base_hash = specHash(plan.spec, row.seed);
-    uint64_t expect = base_hash;
-    if (row.fromSnapshot) {
-        if (!bundle) {
-            return failPlan(
-                err, csprintf("job %zu ran from a snapshot; pass the "
-                              "bundle it fanned out from "
-                              "(--from-snapshot)",
-                              index));
+    bool in_bundle = false;
+    for (bool uninit : {false, true}) {
+        plan.spec.config.detectUninitializedReads = uninit;
+        uint64_t expect = specHash(plan.spec, row.seed);
+        if (row.fromSnapshot) {
+            const snapshot::MachineEntry *entry =
+                bundle->findBySpecKey(expect);
+            if (!entry)
+                continue;
+            in_bundle = true;
+            expect = foldSnapshotHash(expect, entry->stateHash);
         }
-        const snapshot::MachineEntry *entry =
-            bundle->findBySpecKey(base_hash);
-        if (!entry) {
-            return failPlan(
-                err, csprintf("job %zu: the given bundle has no "
-                              "entry for this job's spec (wrong "
-                              "bundle, or config/scale drift)",
-                              index));
+        if (expect == row.specHash) {
+            *out = std::move(plan);
+            return true;
         }
-        expect = foldSnapshotHash(base_hash, entry->stateHash);
     }
-    if (expect != row.specHash) {
+    if (row.fromSnapshot && !in_bundle) {
         return failPlan(
-            err,
-            csprintf("job %zu: reconstructed spec hash %s does not "
-                     "match recorded %s — base config, --scale, or "
-                     "bundle differ from the original campaign",
-                     index, specHashHex(expect).c_str(),
-                     specHashHex(row.specHash).c_str()));
+            err, csprintf("job %zu: the given bundle has no "
+                          "entry for this job's spec (wrong "
+                          "bundle, or config/scale drift)",
+                          index));
     }
-    *out = std::move(plan);
-    return true;
+    return failPlan(
+        err, csprintf("job %zu: reconstructed spec hash does not "
+                      "match recorded %s with uninitialized-read "
+                      "detection off or on — --scale or bundle "
+                      "differ from the original campaign",
+                      index, specHashHex(row.specHash).c_str()));
 }
 
 bool

@@ -10,12 +10,14 @@
  * itself, bit-identically to its campaign run.
  *
  * The report records spec *hashes*, not specs, so reconstruction
- * needs the same inputs the original campaign had: the base
- * SystemConfig (CLI defaults unless the campaign customized it),
- * the --scale divisor, and — for from-snapshot rows — the bundle.
- * The hash check is what makes that safe: a replay whose
- * reconstructed hash does not match the recorded one is refused
- * instead of silently simulating a different point.
+ * needs the same inputs the original campaign had: the --scale
+ * divisor and — for from-snapshot rows — the bundle. The one config
+ * knob the CLI varies beyond the variant, uninitialized-read
+ * detection (on for `attack` jobs unless --no-uninit), is recovered
+ * from the recorded hash itself. The hash check is what makes that
+ * safe: a replay whose reconstructed hash does not match the
+ * recorded one is refused instead of silently simulating a
+ * different point.
  */
 
 #ifndef CHEX_DRIVER_REPLAY_HH
@@ -53,18 +55,18 @@ bool selectReplayRow(const CampaignReport &report,
 
 /**
  * Reconstruct row @p index of @p report into a pinned-seed JobSpec
- * and verify it hashes to the row's recorded specHash. @p base
- * supplies the non-derivable configuration (the original campaign's
- * base SystemConfig), @p scale_divisor the original --scale, and
- * @p bundle the snapshot bundle for rows that ran from a
- * checkpoint (nullptr otherwise). Refuses skipped rows (they never
- * ran), body-override rows (hash 0, not reconstructible), unknown
- * profiles/variants, and any hash mismatch.
+ * on the default SystemConfig and verify it hashes to the row's
+ * recorded specHash, trying uninitialized-read detection off, then
+ * on, and keeping the setting that matches. @p scale_divisor is the
+ * original --scale, and @p bundle the snapshot bundle for rows that
+ * ran from a checkpoint (nullptr otherwise). Refuses skipped rows
+ * (they never ran), body-override rows (hash 0, not
+ * reconstructible), unknown profiles/variants, and any hash
+ * mismatch.
  */
 bool planReplay(const CampaignReport &report, size_t index,
-                const SystemConfig &base, uint64_t scale_divisor,
-                const snapshot::Bundle *bundle, ReplayPlan *out,
-                std::string *err = nullptr);
+                uint64_t scale_divisor, const snapshot::Bundle *bundle,
+                ReplayPlan *out, std::string *err = nullptr);
 
 /**
  * Compare a replayed row against the recorded one: reproduced means

@@ -65,11 +65,9 @@ bool fromJson(const json::Value &v, CampaignReport &out,
 
 /**
  * Read + parse a report file in one step (the common prologue of
- * every report consumer: the CLI's --cache and merge inputs, the
- * bench harnesses' CHEX_BENCH_CACHE). Returns false and fills
- * @p err (if non-null) when the file is unreadable or not a
- * campaign report; the *policy* for that (hard error vs warn and
- * skip) stays with the caller.
+ * every report consumer: the CLI's --cache, merge, replay and
+ * --from-report inputs). Returns false and fills @p err (if
+ * non-null) when the file is unreadable or not a campaign report.
  */
 bool loadReportFile(const std::string &path, CampaignReport &out,
                     std::string *err = nullptr);

@@ -247,17 +247,12 @@ AliasTable::restoreNode(Node *node, const json::Value &v, unsigned level)
             Node *child = allocNode();
             node->slots[idx] = reinterpret_cast<uint64_t>(child);
             ++node->liveSlots;
-            if (!restoreNode(child, pair.at(size_t(1)), level + 1))
+            // A child without live slots is a dead subtree, which
+            // the writer never emits (reclamation frees emptied
+            // nodes): reject it rather than resurrect it.
+            if (!restoreNode(child, pair.at(size_t(1)), level + 1) ||
+                child->liveSlots == 0)
                 return false;
-            if (child->liveSlots == 0) {
-                // Dead subtree: pre-reclamation snapshots serialized
-                // interior nodes that no longer host any entry.
-                // Prune instead of resurrecting them — the restored
-                // table obeys the reclamation invariant.
-                releaseNode(child);
-                node->slots[idx] = 0;
-                --node->liveSlots;
-            }
         } else {
             if (!pair.at(size_t(1)).isNumber())
                 return false;

@@ -301,10 +301,11 @@ class AliasTable
      * Since reclamation made the structure a pure function of the
      * live entries, the document no longer carries information a
      * live-entry rebuild would lose — the format is kept for
-     * byte-compatibility with existing fixtures. Restore prunes the
-     * dead subtrees that pre-reclamation snapshots may contain, and
-     * rejects malformed documents (duplicate slot indices, leaf
-     * payloads that don't fit a PID) without leaking nodes. */
+     * byte-compatibility with existing fixtures. Restore is strict:
+     * it rejects malformed documents (duplicate slot indices, leaf
+     * payloads that don't fit a PID, and the dead subtrees — nodes
+     * without live slots — that only pre-reclamation writers
+     * emitted) without leaking nodes. */
     json::Value saveState() const;
     bool restoreState(const json::Value &v);
     /** @} */

@@ -283,45 +283,53 @@ TEST(AliasStore, SnapshotRoundTripAfterChurnThenReclaim)
     }
 }
 
-TEST(AliasStore, PreReclamationFixtureRestores)
+TEST(AliasStore, PreReclamationFixtureIsRejected)
 {
-    // A chex-snapshot-v1 alias document as the pre-reclamation code
-    // serialized it: set(addr, 0) never freed nodes, so the tree
-    // carries dead subtrees — an emptied leaf ([5, []]) and an
-    // emptied two-level chain ([6, [[7, []]]]). Restore must accept
-    // the fixture, keep the live entry, and prune the dead nodes
-    // rather than resurrecting them.
-    const char *fixture = R"({
-      "tree": [[0, [[1, [[2, [[3, [[4, 42]]]]]]]]],
-               [5, []],
-               [6, [[7, []]]]],
-      "pages": [[263171, 1]],
-      "liveEntries": 1
-    })";
+    // chex-snapshot-v1 alias documents as the pre-reclamation code
+    // serialized them: set(addr, 0) never freed nodes, so the tree
+    // carried dead subtrees next to the one live path — an emptied
+    // leaf ([5, []]) or an emptied two-level chain ([6, [[7, []]]]).
+    // The writer no longer emits either, so restore rejects both
+    // instead of pruning them, and leaves a usable, empty table.
+    const char *live = "[0, [[1, [[2, [[3, [[4, 42]]]]]]]]]";
+    for (const char *dead : {"[5, []]", "[6, [[7, []]]]"}) {
+        SCOPED_TRACE(dead);
+        std::string text = std::string(R"({"tree": [)") + live + ", " +
+                           dead +
+                           R"(], "pages": [[263171, 1]], "liveEntries": 1})";
+        json::Value doc;
+        std::string err;
+        ASSERT_TRUE(json::Value::parse(text, doc, &err)) << err;
+
+        AliasTable table;
+        EXPECT_FALSE(table.restoreState(doc));
+        EXPECT_EQ(table.liveEntries(), 0u);
+        EXPECT_EQ(table.storageBytes(),
+                  uint64_t{AliasTable::NodeBytes});
+        table.set(0x9000, 4);
+        EXPECT_EQ(table.get(0x9000), 4u);
+    }
+
+    // The same document without the dead subtree restores.
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::Value::parse(
+        std::string(R"({"tree": [)") + live +
+            R"(], "pages": [[263171, 1]], "liveEntries": 1})",
+        doc, &err))
+        << err;
+    AliasTable table;
+    ASSERT_TRUE(table.restoreState(doc));
     // Path 0/1/2/3/4 encodes word index 0b000000000'000000001'
     // 000000010'000000011'000000100 = addr below.
     uint64_t addr = ((((((uint64_t{0} << 9 | 1) << 9 | 2) << 9 | 3)
                       << 9) |
                      4)
                      << 3);
-    json::Value doc;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(fixture, doc, &err)) << err;
-
-    AliasTable table;
-    ASSERT_TRUE(table.restoreState(doc));
     EXPECT_EQ(table.get(addr), 42u);
     EXPECT_EQ(table.liveEntries(), 1u);
     EXPECT_TRUE(table.pageHostsAliases(addr));
-    // Root + the four nodes of the one live path; the dead leaf and
-    // the dead chain are pruned on the way in.
-    EXPECT_EQ(table.storageBytes(),
-              5 * uint64_t{AliasTable::NodeBytes});
-    // Round-trip: saving the restored table emits the pruned tree.
-    AliasTable again;
-    ASSERT_TRUE(again.restoreState(table.saveState()));
-    EXPECT_EQ(again.get(addr), 42u);
-    EXPECT_EQ(again.storageBytes(), table.storageBytes());
+    EXPECT_EQ(table.storageBytes(), 5 * uint64_t{AliasTable::NodeBytes});
 }
 
 TEST(AliasStore, RestoreRejectsDuplicateSlotIndices)

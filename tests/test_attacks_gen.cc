@@ -342,18 +342,19 @@ TEST(AttackCampaign, RowReplaysToSameOutcome)
     driver::CampaignReport report = driver::runCampaign(jobs, opts);
     ASSERT_EQ(report.jobsFailed, 0u);
 
-    SystemConfig base;
-    base.detectUninitializedReads = true;
     for (size_t index : {size_t(1), size_t(4)}) {
         driver::ReplayPlan plan;
         std::string err;
         // --scale 50 on the original campaign would have been a
         // no-op on the attack profile, so any divisor must
         // reconstruct the recorded hash.
-        ASSERT_TRUE(driver::planReplay(report, index, base, 50,
-                                       nullptr, &plan, &err))
+        ASSERT_TRUE(driver::planReplay(report, index, 50, nullptr,
+                                       &plan, &err))
             << err;
         EXPECT_EQ(plan.spec.attack, "gen/mix");
+        // The campaign ran with uninitialized-read detection on; the
+        // planner recovers that from the recorded spec hash.
+        EXPECT_TRUE(plan.spec.config.detectUninitializedReads);
 
         driver::CampaignOptions single;
         single.workers = 1;

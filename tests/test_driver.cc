@@ -37,7 +37,6 @@
 #include "base/json.hh"
 #include "base/logging.hh"
 #include "driver/campaign.hh"
-#include "driver/env.hh"
 #include "driver/merge.hh"
 #include "driver/replay.hh"
 #include "driver/report.hh"
@@ -1145,43 +1144,40 @@ TEST(BenchEnv, GeomeanSkipsNonPositiveValues)
 
 TEST(BenchEnv, KnobParsingValidatesAndClamps)
 {
-    setenv("CHEX_BENCH_SCALE", "garbage", 1);
-    EXPECT_EQ(bench::scale(), 1u);
-    setenv("CHEX_BENCH_SCALE", "0", 1);
-    EXPECT_EQ(bench::scale(), 1u);
-    setenv("CHEX_BENCH_SCALE", "-5", 1);
-    EXPECT_EQ(bench::scale(), 1u);
-    setenv("CHEX_BENCH_SCALE", "7x", 1);
-    EXPECT_EQ(bench::scale(), 1u);
     setenv("CHEX_BENCH_SCALE", "12", 1);
     EXPECT_EQ(bench::scale(), 12u);
     unsetenv("CHEX_BENCH_SCALE");
     EXPECT_EQ(bench::scale(), 1u);
-
-    setenv("CHEX_BENCH_JOBS", "-2", 1);
-    EXPECT_GE(bench::benchJobs(), 1u);
-    setenv("CHEX_BENCH_JOBS", "0", 1);
-    EXPECT_GE(bench::benchJobs(), 1u);
     setenv("CHEX_BENCH_JOBS", "3", 1);
     EXPECT_EQ(bench::benchJobs(), 3u);
     unsetenv("CHEX_BENCH_JOBS");
     EXPECT_GE(bench::benchJobs(), 1u);
 
-    setenv("CHEX_BENCH_TIMEOUT", "abc", 1);
-    EXPECT_EQ(bench::benchTimeout(), 0.0);
-    setenv("CHEX_BENCH_TIMEOUT", "-1", 1);
-    EXPECT_EQ(bench::benchTimeout(), 0.0);
-    setenv("CHEX_BENCH_TIMEOUT", "2.5", 1);
-    EXPECT_EQ(bench::benchTimeout(), 2.5);
-    unsetenv("CHEX_BENCH_TIMEOUT");
-    EXPECT_EQ(bench::benchTimeout(), 0.0);
-
-    setenv("CHEX_BENCH_ISOLATE", "1", 1);
-    EXPECT_TRUE(bench::benchIsolate());
-    setenv("CHEX_BENCH_ISOLATE", "0", 1);
-    EXPECT_FALSE(bench::benchIsolate());
-    unsetenv("CHEX_BENCH_ISOLATE");
-    EXPECT_FALSE(bench::benchIsolate());
+    // A malformed value is fatal instead of quietly replaced by the
+    // default: a figure must not run at a scale nobody asked for.
+    for (const char *bad : {"garbage", "0", "-5", "7x", "+3", " 3",
+                            "99999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_EXIT(
+            {
+                setenv("CHEX_BENCH_SCALE", bad, 1);
+                bench::scale();
+            },
+            testing::ExitedWithCode(1), "CHEX_BENCH_SCALE");
+        EXPECT_EXIT(
+            {
+                setenv("CHEX_BENCH_JOBS", bad, 1);
+                bench::benchJobs();
+            },
+            testing::ExitedWithCode(1), "CHEX_BENCH_JOBS");
+    }
+    // A width that does not fit the pool's unsigned is malformed too.
+    EXPECT_EXIT(
+        {
+            setenv("CHEX_BENCH_JOBS", "4294967296", 1);
+            bench::benchJobs();
+        },
+        testing::ExitedWithCode(1), "CHEX_BENCH_JOBS");
 }
 
 TEST(BenchEnv, ParseShardSpec)
@@ -1210,37 +1206,6 @@ TEST(BenchEnv, ParseShardSpec)
         EXPECT_EQ(index, 1u);
         EXPECT_EQ(count, 2u);
     }
-}
-
-TEST(BenchEnv, ShardKnobParsesAndFallsBackUnsharded)
-{
-    setenv("CHEX_BENCH_SHARD", "1/3", 1);
-    driver::EnvOptions env = driver::optionsFromEnv();
-    EXPECT_EQ(env.shardIndex, 1u);
-    EXPECT_EQ(env.shardCount, 3u);
-
-    // Garbage and out-of-range specs warn and run unsharded rather
-    // than silently simulating the wrong subset.
-    for (const char *bad : {"nonsense", "3/3", "1", "0/0"}) {
-        SCOPED_TRACE(bad);
-        setenv("CHEX_BENCH_SHARD", bad, 1);
-        env = driver::optionsFromEnv();
-        EXPECT_EQ(env.shardIndex, 0u);
-        EXPECT_EQ(env.shardCount, 1u);
-    }
-
-    unsetenv("CHEX_BENCH_SHARD");
-    env = driver::optionsFromEnv();
-    EXPECT_EQ(env.shardIndex, 0u);
-    EXPECT_EQ(env.shardCount, 1u);
-
-    // applyTo carries the env knobs onto CampaignOptions.
-    setenv("CHEX_BENCH_SHARD", "2/4", 1);
-    driver::CampaignOptions opts;
-    driver::optionsFromEnv().applyTo(opts);
-    EXPECT_EQ(opts.shardIndex, 2u);
-    EXPECT_EQ(opts.shardCount, 4u);
-    unsetenv("CHEX_BENCH_SHARD");
 }
 
 TEST(Report, ViolationRecordsSerialized)
@@ -1701,11 +1666,12 @@ TEST(Replay, ReproducesRecordedTimeoutFailure)
         << err;
     EXPECT_EQ(row, 0u);
     driver::ReplayPlan plan;
-    ASSERT_TRUE(driver::planReplay(loaded, row, SystemConfig{}, 50,
+    ASSERT_TRUE(driver::planReplay(loaded, row, 50,
                                    nullptr, &plan, &err))
         << err;
     EXPECT_EQ(plan.spec.label, spec.label);
     EXPECT_FALSE(plan.fromSnapshot);
+    EXPECT_FALSE(plan.spec.config.detectUninitializedReads);
 
     // Same watchdog → the recorded failure cause reproduces.
     driver::CampaignReport rerun =
@@ -1746,12 +1712,12 @@ TEST(Replay, PlansFromSnapshotRowsOnlyWithTheirBundle)
     std::string err;
     driver::ReplayPlan plan;
     // Without the bundle the row cannot be reconstructed.
-    EXPECT_FALSE(driver::planReplay(report, 0, SystemConfig{}, 50,
+    EXPECT_FALSE(driver::planReplay(report, 0, 50,
                                     nullptr, &plan, &err));
     EXPECT_NE(err.find("bundle"), std::string::npos) << err;
     // With it, the plan verifies against the folded hash and the
     // replayed job is bit-identical to the campaign row.
-    ASSERT_TRUE(driver::planReplay(report, 0, SystemConfig{}, 50,
+    ASSERT_TRUE(driver::planReplay(report, 0, 50,
                                    bundle.get(), &plan, &err))
         << err;
     EXPECT_TRUE(plan.fromSnapshot);
@@ -1787,7 +1753,7 @@ TEST(Replay, RefusesUnreconstructibleRows)
     driver::ReplayPlan plan;
     // A wrong --scale reconstructs a different simulation point;
     // the hash check refuses it instead of silently replaying it.
-    EXPECT_FALSE(driver::planReplay(report, 0, SystemConfig{}, 7,
+    EXPECT_FALSE(driver::planReplay(report, 0, 7,
                                     nullptr, &plan, &err));
     EXPECT_NE(err.find("does not match"), std::string::npos) << err;
 
@@ -1802,7 +1768,7 @@ TEST(Replay, RefusesUnreconstructibleRows)
     };
     driver::CampaignReport cr =
         driver::runCampaign({custom}, opts);
-    EXPECT_FALSE(driver::planReplay(cr, 0, SystemConfig{}, 1,
+    EXPECT_FALSE(driver::planReplay(cr, 0, 1,
                                     nullptr, &plan, &err));
     EXPECT_NE(err.find("custom job body"), std::string::npos) << err;
 
@@ -1812,7 +1778,7 @@ TEST(Replay, RefusesUnreconstructibleRows)
     sharded.shardCount = 2;
     driver::CampaignReport shard = driver::runCampaign(jobs, sharded);
     ASSERT_TRUE(shard.jobs[1].skipped);
-    EXPECT_FALSE(driver::planReplay(shard, 1, SystemConfig{}, 50,
+    EXPECT_FALSE(driver::planReplay(shard, 1, 50,
                                     nullptr, &plan, &err));
     EXPECT_NE(err.find("shard"), std::string::npos) << err;
 }

@@ -52,6 +52,9 @@ TEST(FlagParser, DispatchesValuesSwitchesAndPositionals)
     EXPECT_EQ(hits, 1);
     EXPECT_EQ(p.positionalArgs(),
               (std::vector<std::string>{"a.json", "b.json"}));
+    EXPECT_TRUE(p.given("--value"));
+    EXPECT_TRUE(p.given("--switch"));
+    EXPECT_FALSE(p.given("--unregistered"));
 }
 
 TEST(FlagParser, RejectsUnknownAndValuelessFlags)
@@ -127,6 +130,9 @@ TEST(FlagParser, FreshParseForgetsPriorOccurrences)
           [](const std::string &) { return true; });
     EXPECT_EQ(parse(p, {"--seed", "1"}), cli::ParseStatus::Ok);
     EXPECT_EQ(parse(p, {"--seed", "2"}), cli::ParseStatus::Ok);
+    EXPECT_TRUE(p.given("--seed"));
+    EXPECT_EQ(parse(p, {}), cli::ParseStatus::Ok);
+    EXPECT_FALSE(p.given("--seed"));
 }
 
 } // namespace

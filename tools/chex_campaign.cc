@@ -1,7 +1,7 @@
 /**
  * @file
  * chex-campaign: the command-line front end of the campaign driver,
- * as two subcommands sharing one flag parser (flag_parser.hh):
+ * as five subcommands sharing one flag parser (flag_parser.hh):
  *
  *   chex-campaign run      — execute a campaign (or one shard of
  *                            it) and write the JSON report
@@ -15,8 +15,12 @@
  *   chex-campaign replay   — re-run one (failed) report row by
  *                            itself, bit-identically
  *
- * A bare invocation (flags with no subcommand) keeps meaning `run`,
- * so every pre-subcommand command line still works.
+ * Flags shared between subcommands are declared once, in two flag
+ * groups: the sweep group (which job points: --profiles, --variants,
+ * --seed, --scale) and the execution group (how they run: --jobs,
+ * --retries, --isolate, --timeout, --shard, --cache, --no-cache,
+ * --from-snapshot). Each subcommand registers the members it takes.
+ * Flags are the tool's only input; it reads no environment knobs.
  *
  *   chex-campaign run --profiles spec --variants baseline,ucode-pred \
  *                     --jobs 8 --seed 7 --reps 3 --out report.json
@@ -57,22 +61,25 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "attacks/generator.hh"
 #include "attacks/registry.hh"
 #include "base/logging.hh"
 #include "driver/campaign.hh"
-#include "driver/env.hh"
 #include "driver/merge.hh"
 #include "driver/replay.hh"
 #include "driver/report.hh"
@@ -115,44 +122,50 @@ splitCommas(const std::string &list)
     return out;
 }
 
-/** Strict positive/non-negative integer parses for flag handlers. */
-bool
-parseUint(const std::string &s, uint64_t &out)
-{
-    if (s.empty() || s.find('-') != std::string::npos)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno != 0 || !end || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
+using Handler = std::function<bool(const std::string &)>;
 
 /**
- * Load every --cache report into @p opts (none with --no-cache). An
- * unreadable or malformed cache is a hard error: the user asked for
- * it, and re-simulating everything would be the costliest way to
- * honor that request.
+ * A handler for a count or size flag: a plain decimal of at least
+ * @p min that fits the field @p dst sets. Anything else rejects the
+ * value (a usage error) instead of clamping it.
  */
-bool
-loadCaches(const std::string &ctx, const std::vector<std::string> &paths,
-           bool no_cache, driver::CampaignOptions *opts)
+template <typename T>
+Handler
+count(T &dst, std::type_identity_t<T> min = 0)
 {
-    if (no_cache)
-        return true;
-    for (const std::string &path : paths) {
-        driver::CampaignReport prior;
-        std::string err;
-        if (!driver::loadReportFile(path, prior, &err)) {
-            std::fprintf(stderr, "%s: cache %s\n", ctx.c_str(),
-                         err.c_str());
+    return [&dst, min](const std::string &v) {
+        if (v.empty() ||
+            v.find_first_not_of("0123456789") != std::string::npos)
             return false;
-        }
-        opts->cacheReports.push_back(std::move(prior));
+        errno = 0;
+        unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+        if (errno != 0 || n < min || n > std::numeric_limits<T>::max())
+            return false;
+        dst = static_cast<T>(n);
+        return true;
+    };
+}
+
+/** A handler storing the flag's value in @p dst. */
+Handler
+text(std::string &dst)
+{
+    return [&dst](const std::string &v) {
+        dst = v;
+        return true;
+    };
+}
+
+/** parse() as a main() exit status, or nullopt to proceed. */
+std::optional<int>
+parseArgs(cli::FlagParser &parser, int argc, char **argv)
+{
+    switch (parser.parse(argc, argv, 2)) {
+      case cli::ParseStatus::Ok: return std::nullopt;
+      case cli::ParseStatus::ExitOk: return 0;
+      case cli::ParseStatus::ExitUsage: break;
     }
-    return true;
+    return 2;
 }
 
 /**
@@ -193,8 +206,6 @@ listChoices()
 /**
  * Resolve a --profiles argument ('spec'/'parsec'/'all'/'server' or
  * a comma-separated name list) into --scale-adjusted profiles.
- * Shared by run and snapshot so both subcommands see the identical
- * job points — a prerequisite for their spec hashes to line up.
  */
 bool
 resolveProfiles(const char *ctx, const std::string &arg,
@@ -227,7 +238,7 @@ resolveProfiles(const char *ctx, const std::string &arg,
 }
 
 /** Resolve a --variants argument ('all' or comma-separated CLI
- * tokens); shared by run and snapshot like resolveProfiles. */
+ * tokens). */
 bool
 resolveVariants(const char *ctx, const std::string &arg,
                 std::vector<VariantKind> *out)
@@ -325,282 +336,343 @@ listAttackChoices()
 }
 
 /**
- * The (profile x variant) x reps job list both run and snapshot
- * enumerate. A single rep pins the workload seed so every variant
- * sees the identical program; with reps the driver derives per-job
- * seeds instead.
+ * The sweep flag group — which job points a campaign covers:
+ * --profiles, --variants, --seed, --scale. Subcommands register the
+ * members they take; run and snapshot build their job lists from it
+ * with the same builder, so their spec hashes line up.
  */
-std::vector<driver::JobSpec>
-buildSpecs(const std::vector<BenchmarkProfile> &profiles,
-           const std::vector<VariantKind> &variants, uint64_t reps,
-           uint64_t seed)
+struct SweepFlags
 {
-    std::vector<driver::JobSpec> specs;
-    for (const BenchmarkProfile &p : profiles) {
-        for (VariantKind kind : variants) {
-            for (uint64_t r = 0; r < reps; ++r) {
-                driver::JobSpec spec;
-                spec.label = p.name + std::string("/") +
-                             variantName(kind);
-                if (reps > 1)
-                    spec.label += csprintf("#%llu",
-                                           static_cast<unsigned long
-                                                       long>(r));
-                spec.profile = p;
-                spec.config.variant.kind = kind;
-                spec.repetition = static_cast<unsigned>(r);
-                if (reps == 1)
-                    spec.workloadSeed = seed;
-                specs.push_back(std::move(spec));
+    // Registered handlers hold the address of the members they set.
+    SweepFlags() = default;
+    SweepFlags(const SweepFlags &) = delete;
+    SweepFlags &operator=(const SweepFlags &) = delete;
+
+    enum : unsigned
+    {
+        Profiles = 1,
+        Variants = 2,
+        Seed = 4,
+        Scale = 8,
+        All = 15
+    };
+
+    std::string profiles = "spec";
+    std::string variants = "baseline,ucode-pred";
+    uint64_t seed = 1;
+    uint64_t scale = 1;
+
+    void
+    registerOn(cli::FlagParser &parser, unsigned which = All)
+    {
+        if (which & Profiles)
+            parser.add("--profiles", "LIST",
+                       "comma-separated profile names, or one of\n"
+                       "'spec', 'parsec', 'all', 'server' (default: "
+                       "spec)",
+                       text(profiles));
+        if (which & Variants)
+            parser.add("--variants", "LIST",
+                       "comma-separated variant tokens, or 'all'\n"
+                       "(default: baseline,ucode-pred); `attack`\n"
+                       "always adds 'baseline' for exploit validation",
+                       text(variants));
+        if (which & Seed)
+            parser.add("--seed", "S", "campaign seed (default: 1)",
+                       count(seed));
+        if (which & Scale)
+            parser.add("--scale", "K",
+                       "divide workload iteration counts by K >= 1\n"
+                       "(default: 1; `replay` takes the original\n"
+                       "campaign's)",
+                       count(scale, 1));
+    }
+
+    /**
+     * The (profile x variant) x reps job list of run and snapshot. A
+     * single rep pins the workload seed so every variant sees the
+     * identical program; with reps the driver derives per-job seeds
+     * instead.
+     */
+    bool
+    jobs(const std::string &ctx, unsigned reps,
+         std::vector<driver::JobSpec> *out) const
+    {
+        std::vector<BenchmarkProfile> points;
+        std::vector<VariantKind> kinds;
+        if (!resolveProfiles(ctx.c_str(), profiles, scale, &points) ||
+            !resolveVariants(ctx.c_str(), variants, &kinds))
+            return false;
+        if (points.empty() || kinds.empty()) {
+            std::fprintf(stderr, "%s: nothing to run\n", ctx.c_str());
+            return false;
+        }
+        if (reps == 1) {
+            *out = driver::buildMatrix(points, kinds, seed);
+            return true;
+        }
+        for (const BenchmarkProfile &p : points) {
+            for (VariantKind kind : kinds) {
+                for (unsigned r = 0; r < reps; ++r) {
+                    driver::JobSpec spec;
+                    spec.label = csprintf("%s/%s#%u", p.name.c_str(),
+                                          variantName(kind), r);
+                    spec.profile = p;
+                    spec.config.variant.kind = kind;
+                    spec.repetition = r;
+                    out->push_back(std::move(spec));
+                }
             }
         }
+        return true;
     }
-    return specs;
-}
+};
+
+/**
+ * The execution flag group — how a campaign's jobs run: --jobs,
+ * --retries, --isolate, --timeout, --shard, --cache, --no-cache,
+ * --from-snapshot. Subcommands register the members they take, and
+ * options() turns them into driver::CampaignOptions.
+ */
+struct ExecutionFlags
+{
+    // Registered handlers hold the address of the members they set.
+    ExecutionFlags() = default;
+    ExecutionFlags(const ExecutionFlags &) = delete;
+    ExecutionFlags &operator=(const ExecutionFlags &) = delete;
+
+    enum : unsigned
+    {
+        Jobs = 1,
+        Retries = 2,
+        Isolate = 4,
+        Timeout = 8,
+        Shard = 16,
+        Cache = 32, // --cache and --no-cache
+        FromSnapshot = 64,
+        All = 127
+    };
+
+    unsigned jobs = 0;
+    unsigned retries = 1;
+    bool isolate = false;
+    double timeout = 0.0;
+    unsigned shardIndex = 0;
+    unsigned shardCount = 1;
+    std::vector<std::string> cachePaths;
+    bool noCache = false;
+    std::string snapshotPath;
+
+    void
+    registerOn(cli::FlagParser &parser, unsigned which = All)
+    {
+        if (which & Jobs)
+            parser.add("--jobs", "N",
+                       "worker threads (default: all cores)",
+                       count(jobs));
+        if (which & Retries)
+            parser.add("--retries", "N",
+                       "attempts per job (>= 1) before it is\n"
+                       "recorded as failed (default: 1)",
+                       count(retries, 1));
+        if (which & Isolate)
+            parser.add("--isolate",
+                       "fork each job into its own child process\n"
+                       "so a simulator panic/crash is recorded as\n"
+                       "a failed job (cause: signal) instead of\n"
+                       "killing the campaign",
+                       [this]() { isolate = true; });
+        if (which & Timeout)
+            parser.add("--timeout", "SECS",
+                       "per-attempt wall-clock watchdog; a stuck\n"
+                       "child is killed and recorded as failed\n"
+                       "(cause: timeout). Implies --isolate",
+                       [this](const std::string &v) {
+                           char *end = nullptr;
+                           double t = std::strtod(v.c_str(), &end);
+                           if (v.empty() || *end != '\0' || !(t >= 0.0))
+                               return false;
+                           timeout = t;
+                           return true;
+                       });
+        if (which & Shard)
+            parser.add("--shard", "I/N",
+                       "run only shard I of N (jobs with\n"
+                       "index % N == I); other jobs appear in the\n"
+                       "report as 'skipped' placeholders for the\n"
+                       "merge subcommand (default: 0/1)",
+                       [this](const std::string &v) {
+                           std::string err;
+                           if (driver::parseShardSpec(v, shardIndex,
+                                                      shardCount, &err))
+                               return true;
+                           std::fprintf(stderr, "--shard %s: %s\n",
+                                        v.c_str(), err.c_str());
+                           return false;
+                       });
+        if (which & Cache) {
+            parser.add("--cache", "FILE",
+                       "load a previous campaign report as a\n"
+                       "result cache (repeatable). Jobs whose spec\n"
+                       "hash and seed match a successful prior job\n"
+                       "are not re-simulated",
+                       [this](const std::string &v) {
+                           cachePaths.push_back(v);
+                           return true;
+                       },
+                       cli::Repeat::Allowed);
+            parser.add("--no-cache", "ignore every --cache",
+                       [this]() { noCache = true; });
+        }
+        if (which & FromSnapshot)
+            parser.add("--from-snapshot", "FILE",
+                       "fan jobs out from the warmed machine states\n"
+                       "in a bundle written by `snapshot`: jobs with\n"
+                       "a matching entry restore it instead of\n"
+                       "re-running the warm-up prefix (`replay`\n"
+                       "needs it for from-snapshot rows)",
+                       text(snapshotPath));
+    }
+
+    /**
+     * Fill @p opts for a campaign seeded with @p seed. --timeout
+     * implies --isolate. Every --cache report and the --from-snapshot
+     * bundle are loaded here, before the caller opens any output
+     * (--out may name a --cache input). An input that cannot be
+     * loaded is a hard error, reported under @p ctx: the user asked
+     * for it, and re-simulating instead would be the costliest way
+     * to honor that request.
+     */
+    bool
+    options(const std::string &ctx, uint64_t seed,
+            driver::CampaignOptions *opts) const
+    {
+        if (timeout > 0.0 && !isolate) {
+            std::fprintf(stderr,
+                         "%s: --timeout requires process isolation; "
+                         "enabling --isolate\n",
+                         ctx.c_str());
+        }
+        opts->workers = jobs;
+        opts->seed = seed;
+        opts->maxAttempts = retries;
+        opts->isolation = isolate || timeout > 0.0;
+        opts->timeoutSeconds = timeout;
+        opts->shardIndex = shardIndex;
+        opts->shardCount = shardCount;
+        std::string err;
+        for (size_t i = 0; !noCache && i < cachePaths.size(); ++i) {
+            driver::CampaignReport prior;
+            if (!driver::loadReportFile(cachePaths[i], prior, &err)) {
+                std::fprintf(stderr, "%s: cache %s\n", ctx.c_str(),
+                             err.c_str());
+                return false;
+            }
+            opts->cacheReports.push_back(std::move(prior));
+        }
+        if (!snapshotPath.empty()) {
+            snapshot::Bundle bundle;
+            if (!snapshot::loadBundleFile(snapshotPath, &bundle, &err)) {
+                std::fprintf(stderr, "%s: snapshot %s\n", ctx.c_str(),
+                             err.c_str());
+                return false;
+            }
+            opts->snapshot = std::make_shared<const snapshot::Bundle>(
+                std::move(bundle));
+        }
+        return true;
+    }
+
+    /**
+     * Announce the shard of @p specs this run covers and, unless
+     * @p quiet, print one progress line per finished job: the
+     * failure, or @p detail of a successful row.
+     */
+    void
+    trackProgress(const std::vector<driver::JobSpec> &specs, bool quiet,
+                  std::function<std::string(const driver::JobResult &)>
+                      detail,
+                  driver::CampaignOptions *opts) const
+    {
+        size_t in_shard = 0;
+        for (size_t i = 0; i < specs.size(); ++i)
+            if (i % shardCount == shardIndex)
+                ++in_shard;
+        if (shardCount > 1) {
+            std::printf("shard %u/%u: %zu of %zu jobs in shard\n",
+                        shardIndex, shardCount, in_shard, specs.size());
+        }
+        if (quiet)
+            return;
+        opts->onJobDone = [in_shard, detail, done = size_t{0}](
+                              const driver::JobResult &jr) mutable {
+            std::string what =
+                jr.failed ? csprintf("FAILED [%s] (%s)",
+                                     driver::failureCauseName(jr.cause),
+                                     jr.error.c_str())
+                          : detail(jr);
+            std::printf("[%3zu/%zu] %-44s %s\n", ++done, in_shard,
+                        jr.label.c_str(), what.c_str());
+            std::fflush(stdout);
+        };
+    }
+};
 
 int
-runMain(const char *argv0, int argc, char **argv, int begin,
-        bool bare)
+runMain(const char *argv0, int argc, char **argv)
 {
-    // The bench harness env knobs double as CLI defaults.
-    driver::EnvOptions env = driver::optionsFromEnv();
-
-    std::string profiles_arg = "spec";
-    std::string variants_arg = "baseline,ucode-pred";
+    SweepFlags sweep;
+    ExecutionFlags exec;
+    unsigned reps = 1;
     std::string out_path;
-    uint64_t jobs = env.jobs;
-    uint64_t seed = 1;
-    uint64_t reps = 1;
-    uint64_t scale = env.scale;
-    uint64_t retries = 1;
-    bool isolate = env.isolate;
-    double timeout = env.timeoutSeconds;
-    unsigned shard_index = env.shardIndex;
-    unsigned shard_count = env.shardCount;
     bool quiet = false;
-    std::vector<std::string> cache_paths = env.cachePaths;
-    bool no_cache = false;
-    std::string snapshot_path = env.snapshotPath;
     bool list_only = false;
 
     cli::FlagParser parser(
-        argv0, bare ? "" : "run",
+        argv0, "run",
         "Run a simulation campaign (profiles x variants x reps) on "
         "a\nworker thread pool and emit a JSON report "
         "(chex-campaign-report-v7).");
-    parser.add("--profiles", "LIST",
-               "comma-separated profile names, or one of\n"
-               "'spec', 'parsec', 'all', 'server' (default: spec)",
-               [&](const std::string &v) {
-                   profiles_arg = v;
-                   return true;
-               });
-    parser.add("--variants", "LIST",
-               "comma-separated variant tokens, or 'all'\n"
-               "(default: baseline,ucode-pred)",
-               [&](const std::string &v) {
-                   variants_arg = v;
-                   return true;
-               });
-    parser.add("--jobs", "N",
-               "worker threads (default: $CHEX_BENCH_JOBS or all "
-               "cores)",
-               [&](const std::string &v) {
-                   return parseUint(v, jobs);
-               });
-    parser.add("--seed", "S", "campaign seed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, seed);
-               });
+    sweep.registerOn(parser);
     parser.add("--reps", "R",
-               "repetitions per point, each with a seed\n"
+               "repetitions per point (>= 1), each with a seed\n"
                "derived from (seed, job index) (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, reps);
-               });
-    parser.add("--scale", "K",
-               "divide workload iteration counts by K\n"
-               "(default: $CHEX_BENCH_SCALE or 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, scale);
-               });
-    parser.add("--retries", "N",
-               "attempts per job before it is recorded\n"
-               "as failed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, retries);
-               });
-    parser.add("--isolate",
-               "fork each job into its own child process\n"
-               "so a simulator panic/crash is recorded as\n"
-               "a failed job (cause: signal) instead of\n"
-               "killing the campaign",
-               [&]() { isolate = true; });
-    parser.add("--timeout", "SECS",
-               "per-attempt wall-clock watchdog; a stuck\n"
-               "child is killed and recorded as failed\n"
-               "(cause: timeout). Implies --isolate",
-               [&](const std::string &v) {
-                   char *end = nullptr;
-                   double t = std::strtod(v.c_str(), &end);
-                   if (!end || *end != '\0' || !(t >= 0.0))
-                       return false;
-                   timeout = t;
-                   return true;
-               });
-    parser.add("--shard", "I/N",
-               "run only shard I of N (jobs with\n"
-               "index % N == I); other jobs appear in the\n"
-               "report as 'skipped' placeholders for the\n"
-               "merge subcommand (default: $CHEX_BENCH_SHARD\n"
-               "or 0/1)",
-               [&](const std::string &v) {
-                   std::string err;
-                   if (!driver::parseShardSpec(v, shard_index,
-                                               shard_count, &err)) {
-                       std::fprintf(stderr, "%s: --shard %s: %s\n",
-                                    argv0, v.c_str(), err.c_str());
-                       return false;
-                   }
-                   return true;
-               });
-    parser.add("--cache", "FILE",
-               "load a previous campaign report as a\n"
-               "result cache (repeatable; also seeded\n"
-               "from $CHEX_BENCH_CACHE, colon-separated).\n"
-               "Jobs whose spec hash and seed match a\n"
-               "successful prior job are not re-simulated",
-               [&](const std::string &v) {
-                   cache_paths.push_back(v);
-                   return true;
-               },
-               cli::Repeat::Allowed);
-    parser.add("--no-cache",
-               "ignore --cache and $CHEX_BENCH_CACHE",
-               [&]() { no_cache = true; });
-    parser.add("--from-snapshot", "FILE",
-               "fan the campaign out from the warmed machine\n"
-               "states in a snapshot bundle written by the\n"
-               "`snapshot` subcommand (also seeded from\n"
-               "$CHEX_BENCH_SNAPSHOT). Jobs with a matching\n"
-               "bundle entry restore it instead of running\n"
-               "the warm-up prefix from scratch",
-               [&](const std::string &v) {
-                   snapshot_path = v;
-                   return true;
-               });
+               count(reps, 1));
+    exec.registerOn(parser);
     parser.add("--out", "FILE", "write the JSON report to FILE",
-               [&](const std::string &v) {
-                   out_path = v;
-                   return true;
-               });
+               text(out_path));
     parser.add("--quiet", "suppress per-job progress lines",
                [&]() { quiet = true; });
     parser.add("--list", "list profiles and variant tokens, exit",
                [&]() { list_only = true; });
-
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
+    if (std::optional<int> rc = parseArgs(parser, argc, argv))
+        return *rc;
     if (list_only) {
         listChoices();
         return 0;
     }
 
-    if (reps == 0)
-        reps = 1;
-    if (scale == 0)
-        scale = 1;
-    if (timeout > 0.0 && !isolate) {
-        std::fprintf(stderr,
-                     "%s: --timeout requires process isolation; "
-                     "enabling --isolate\n",
-                     argv0);
-        isolate = true;
-    }
-
-    std::vector<BenchmarkProfile> profiles;
-    std::vector<VariantKind> variants;
-    if (!resolveProfiles(argv0, profiles_arg, scale, &profiles) ||
-        !resolveVariants(argv0, variants_arg, &variants)) {
-        return 2;
-    }
-    if (profiles.empty() || variants.empty()) {
-        std::fprintf(stderr, "%s: nothing to run\n", argv0);
-        return 2;
-    }
-
-    std::vector<driver::JobSpec> specs =
-        buildSpecs(profiles, variants, reps, seed);
-
+    std::string ctx = std::string(argv0) + " run";
+    std::vector<driver::JobSpec> specs;
     driver::CampaignOptions opts;
-    opts.workers = static_cast<unsigned>(jobs);
-    opts.seed = seed;
-    opts.maxAttempts = static_cast<unsigned>(retries ? retries : 1);
-    opts.isolation = isolate;
-    opts.timeoutSeconds = timeout;
-    opts.shardIndex = shard_index;
-    opts.shardCount = shard_count;
-
-    if (!loadCaches(argv0, cache_paths, no_cache, &opts))
+    if (!sweep.jobs(ctx, reps, &specs) ||
+        !exec.options(ctx, sweep.seed, &opts))
         return 2;
-
-    // The snapshot bundle gets the same hard-error policy as the
-    // cache: an explicit --from-snapshot that cannot be honored must
-    // not silently degrade into re-simulating every warm-up prefix.
-    if (!snapshot_path.empty()) {
-        snapshot::Bundle bundle;
-        std::string err;
-        if (!snapshot::loadBundleFile(snapshot_path, &bundle, &err)) {
-            std::fprintf(stderr, "%s: snapshot %s\n", argv0,
-                         err.c_str());
-            return 2;
-        }
-        opts.snapshot = std::make_shared<const snapshot::Bundle>(
-            std::move(bundle));
-    }
-
     std::ofstream out;
-    if (!openOutput(argv0, out_path, &out))
+    if (!openOutput(ctx, out_path, &out))
         return 1;
 
-    size_t in_shard = 0;
-    for (size_t i = 0; i < specs.size(); ++i)
-        if (i % shard_count == shard_index)
-            ++in_shard;
-    if (shard_count > 1) {
-        std::printf("shard %u/%u: %zu of %zu jobs in shard\n",
-                    shard_index, shard_count, in_shard,
-                    specs.size());
-    }
-
-    size_t done = 0;
-    if (!quiet) {
-        opts.onJobDone = [&](const driver::JobResult &jr) {
-            ++done;
-            if (jr.failed) {
-                std::printf("[%3zu/%zu] %-40s FAILED [%s] (%s)\n",
-                            done, in_shard, jr.label.c_str(),
-                            driver::failureCauseName(jr.cause),
-                            jr.error.c_str());
-            } else if (jr.cached) {
-                std::printf("[%3zu/%zu] %-40s %10lu cycles  ipc %.2f"
-                            "  (cached)\n",
-                            done, in_shard, jr.label.c_str(),
+    exec.trackProgress(
+        specs, quiet,
+        [](const driver::JobResult &jr) {
+            std::string when = jr.cached
+                                   ? "(cached)"
+                                   : csprintf("%.2fs", jr.wallSeconds);
+            return csprintf("%10lu cycles  ipc %.2f  %s",
                             static_cast<unsigned long>(jr.run.cycles),
-                            jr.run.ipc);
-            } else {
-                std::printf("[%3zu/%zu] %-40s %10lu cycles  ipc %.2f"
-                            "  %.2fs\n",
-                            done, in_shard, jr.label.c_str(),
-                            static_cast<unsigned long>(jr.run.cycles),
-                            jr.run.ipc, jr.wallSeconds);
-            }
-            std::fflush(stdout);
-        };
-    }
+                            jr.run.ipc, when.c_str());
+        },
+        &opts);
 
     driver::CampaignReport report = driver::runCampaign(specs, opts);
 
@@ -651,28 +723,44 @@ printSecuritySummary(const driver::SecurityReport &sec)
     }
 }
 
+/**
+ * `attack --from-report`: distill the security report from an
+ * existing (merged) campaign report, to @p security_out_path or
+ * stdout.
+ */
 int
-attackMain(const char *argv0, int argc, char **argv, int begin)
+distillReport(const std::string &ctx, const std::string &report_path,
+              const std::string &security_out_path, bool quiet)
 {
-    driver::EnvOptions env = driver::optionsFromEnv();
+    driver::CampaignReport prior;
+    driver::SecurityReport sec;
+    std::string err;
+    if (!driver::loadReportFile(report_path, prior, &err) ||
+        !driver::buildSecurityReport(prior, &sec, &err)) {
+        std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
+        return 2;
+    }
+    std::ofstream sout;
+    if (!openOutput(ctx, security_out_path, &sout))
+        return 1;
+    driver::writeSecurityReport(sec, sout.is_open() ? sout : std::cout);
+    if (!quiet)
+        printSecuritySummary(sec);
+    return 0;
+}
 
+int
+attackMain(const char *argv0, int argc, char **argv)
+{
+    SweepFlags sweep;
+    ExecutionFlags exec;
     std::string attacks_arg = "gen/mix";
-    std::string variants_arg = "baseline,ucode-pred";
+    uint64_t seeds = 64;
     std::string out_path;
     std::string security_out_path;
     std::string from_report_path;
-    uint64_t seeds = 64;
-    uint64_t jobs = env.jobs;
-    uint64_t seed = 1;
-    uint64_t retries = 1;
-    bool isolate = env.isolate;
-    double timeout = env.timeoutSeconds;
-    unsigned shard_index = env.shardIndex;
-    unsigned shard_count = env.shardCount;
-    bool quiet = false;
-    std::vector<std::string> cache_paths = env.cachePaths;
-    bool no_cache = false;
     bool no_uninit = false;
+    bool quiet = false;
     bool list_only = false;
 
     cli::FlagParser parser(
@@ -691,104 +779,29 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
                "suite ('ripe', 'asan', 'how2heap'), 'gen',\n"
                "'gen/<family>', or an explicit case ID\n"
                "(default: gen/mix)",
-               [&](const std::string &v) {
-                   attacks_arg = v;
-                   return true;
-               });
+               text(attacks_arg));
     parser.add("--seeds", "N",
-               "generated-attack instances per gen/<family>\n"
-               "token, seeded from (campaign seed, instance\n"
-               "index); hand-written cases always run once\n"
-               "(default: 64)",
-               [&](const std::string &v) {
-                   return parseUint(v, seeds);
-               });
-    parser.add("--variants", "LIST",
-               "comma-separated variant tokens, or 'all';\n"
-               "'baseline' is force-included for exploit\n"
-               "validation (default: baseline,ucode-pred)",
-               [&](const std::string &v) {
-                   variants_arg = v;
-                   return true;
-               });
-    parser.add("--jobs", "N",
-               "worker threads (default: $CHEX_BENCH_JOBS or all "
-               "cores)",
-               [&](const std::string &v) {
-                   return parseUint(v, jobs);
-               });
-    parser.add("--seed", "S", "campaign seed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, seed);
-               });
-    parser.add("--retries", "N",
-               "attempts per job before it is recorded\n"
-               "as failed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, retries);
-               });
-    parser.add("--isolate",
-               "fork each job into its own child process",
-               [&]() { isolate = true; });
-    parser.add("--timeout", "SECS",
-               "per-attempt wall-clock watchdog; implies\n"
-               "--isolate",
-               [&](const std::string &v) {
-                   char *end = nullptr;
-                   double t = std::strtod(v.c_str(), &end);
-                   if (!end || *end != '\0' || !(t >= 0.0))
-                       return false;
-                   timeout = t;
-                   return true;
-               });
-    parser.add("--shard", "I/N",
-               "run only shard I of N; shards merge with\n"
-               "`merge`, then distill with `attack\n"
-               "--from-report` (default: $CHEX_BENCH_SHARD\n"
-               "or 0/1)",
-               [&](const std::string &v) {
-                   std::string err;
-                   if (!driver::parseShardSpec(v, shard_index,
-                                               shard_count, &err)) {
-                       std::fprintf(stderr, "%s: --shard %s: %s\n",
-                                    argv0, v.c_str(), err.c_str());
-                       return false;
-                   }
-                   return true;
-               });
-    parser.add("--cache", "FILE",
-               "load a previous campaign report as a result\n"
-               "cache (repeatable; also seeded from\n"
-               "$CHEX_BENCH_CACHE)",
-               [&](const std::string &v) {
-                   cache_paths.push_back(v);
-                   return true;
-               },
-               cli::Repeat::Allowed);
-    parser.add("--no-cache",
-               "ignore --cache and $CHEX_BENCH_CACHE",
-               [&]() { no_cache = true; });
+               "generated-attack instances (>= 1) per\n"
+               "gen/<family> token, seeded from (campaign seed,\n"
+               "instance index); hand-written cases always run\n"
+               "once (default: 64)",
+               count(seeds, 1));
+    sweep.registerOn(parser, SweepFlags::Variants | SweepFlags::Seed);
+    exec.registerOn(parser, ExecutionFlags::All &
+                                ~ExecutionFlags::FromSnapshot);
     parser.add("--out", "FILE",
                "write the raw campaign report to FILE",
-               [&](const std::string &v) {
-                   out_path = v;
-                   return true;
-               });
+               text(out_path));
     parser.add("--security-out", "FILE",
                "write the distilled chex-security-report-v1\n"
                "to FILE (refused for sharded runs: merge the\n"
                "shards, then use --from-report)",
-               [&](const std::string &v) {
-                   security_out_path = v;
-                   return true;
-               });
+               text(security_out_path));
     parser.add("--from-report", "FILE",
                "skip running: distill the security report\n"
-               "from an existing (merged) campaign report",
-               [&](const std::string &v) {
-                   from_report_path = v;
-                   return true;
-               });
+               "from an existing (merged) campaign report;\n"
+               "takes only --security-out and --quiet",
+               text(from_report_path));
     parser.add("--no-uninit",
                "leave uninitialized-read detection off\n"
                "(default: on for every attack job, so the\n"
@@ -799,56 +812,33 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
                [&]() { quiet = true; });
     parser.add("--list", "list attack tokens and variants, exit",
                [&]() { list_only = true; });
-
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
+    if (std::optional<int> rc = parseArgs(parser, argc, argv))
+        return *rc;
     if (list_only) {
         listAttackChoices();
         return 0;
     }
 
     std::string ctx = std::string(argv0) + " attack";
-
-    // --from-report is the distill-only mode: load, derive, write.
     if (!from_report_path.empty()) {
-        driver::CampaignReport prior;
-        std::string err;
-        if (!driver::loadReportFile(from_report_path, prior, &err)) {
-            std::fprintf(stderr, "%s: %s\n", ctx.c_str(),
-                         err.c_str());
-            return 2;
-        }
-        driver::SecurityReport sec;
-        if (!driver::buildSecurityReport(prior, &sec, &err)) {
-            std::fprintf(stderr, "%s: %s\n", ctx.c_str(),
-                         err.c_str());
-            return 2;
-        }
-        if (!security_out_path.empty()) {
-            std::ofstream sout(security_out_path);
-            if (!sout) {
-                std::fprintf(stderr, "%s: cannot write '%s'\n",
-                             ctx.c_str(),
-                             security_out_path.c_str());
-                return 1;
+        // Distilling runs nothing, so a campaign flag here would be
+        // silently ignored: refuse it by name instead.
+        for (const char *flag :
+             {"--attacks", "--seeds", "--variants", "--seed", "--jobs",
+              "--retries", "--isolate", "--timeout", "--shard",
+              "--cache", "--no-cache", "--out", "--no-uninit"}) {
+            if (parser.given(flag)) {
+                std::fprintf(stderr,
+                             "%s: %s does not apply to --from-report\n",
+                             ctx.c_str(), flag);
+                return 2;
             }
-            driver::writeSecurityReport(sec, sout);
-        } else {
-            driver::writeSecurityReport(sec, std::cout);
         }
-        if (!quiet)
-            printSecuritySummary(sec);
-        return 0;
+        return distillReport(ctx, from_report_path, security_out_path,
+                             quiet);
     }
 
-    if (seeds == 0)
-        seeds = 1;
-    if (timeout > 0.0 && !isolate)
-        isolate = true;
-    if (shard_count > 1 && !security_out_path.empty()) {
+    if (exec.shardCount > 1 && !security_out_path.empty()) {
         std::fprintf(stderr,
                      "%s: --security-out on a sharded run would "
                      "distill a slice of the campaign; merge the "
@@ -860,7 +850,7 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
     std::vector<std::string> attack_ids;
     std::vector<VariantKind> variants;
     if (!resolveAttacks(ctx.c_str(), attacks_arg, &attack_ids) ||
-        !resolveVariants(ctx.c_str(), variants_arg, &variants)) {
+        !resolveVariants(ctx.c_str(), sweep.variants, &variants)) {
         return 2;
     }
     if (attack_ids.empty() || variants.empty()) {
@@ -885,9 +875,10 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
     std::vector<driver::JobSpec> specs;
     size_t instance = 0;
     for (const std::string &id : attack_ids) {
-        uint64_t count = isGeneratedAttackId(id) ? seeds : 1;
-        for (uint64_t i = 0; i < count; ++i, ++instance) {
-            uint64_t instance_seed = driver::jobSeed(seed, instance);
+        uint64_t instances = isGeneratedAttackId(id) ? seeds : 1;
+        for (uint64_t i = 0; i < instances; ++i, ++instance) {
+            uint64_t instance_seed =
+                driver::jobSeed(sweep.seed, instance);
             for (VariantKind kind : variants) {
                 driver::JobSpec spec;
                 spec.label = id +
@@ -906,15 +897,7 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
     }
 
     driver::CampaignOptions opts;
-    opts.workers = static_cast<unsigned>(jobs);
-    opts.seed = seed;
-    opts.maxAttempts = static_cast<unsigned>(retries ? retries : 1);
-    opts.isolation = isolate;
-    opts.timeoutSeconds = timeout;
-    opts.shardIndex = shard_index;
-    opts.shardCount = shard_count;
-
-    if (!loadCaches(ctx, cache_paths, no_cache, &opts))
+    if (!exec.options(ctx, sweep.seed, &opts))
         return 2;
     std::ofstream out, security_out;
     if (!openOutput(ctx, out_path, &out) ||
@@ -922,41 +905,20 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
         return 1;
     }
 
-    size_t in_shard = 0;
-    for (size_t i = 0; i < specs.size(); ++i)
-        if (i % shard_count == shard_index)
-            ++in_shard;
-    if (shard_count > 1) {
-        std::printf("shard %u/%u: %zu of %zu attack jobs in shard\n",
-                    shard_index, shard_count, in_shard,
-                    specs.size());
-    }
-
-    size_t done = 0;
-    if (!quiet) {
-        opts.onJobDone = [&](const driver::JobResult &jr) {
-            ++done;
-            if (jr.failed) {
-                std::printf("[%3zu/%zu] %-44s FAILED [%s] (%s)\n",
-                            done, in_shard, jr.label.c_str(),
-                            driver::failureCauseName(jr.cause),
-                            jr.error.c_str());
-            } else {
-                const char *verdict =
-                    jr.run.violationDetected
-                        ? "DETECTED"
-                        : (jr.run.indicatorChecked
-                               ? (jr.run.indicatorFired
-                                      ? "exploit landed"
-                                      : "exploit dud")
-                               : "escaped");
-                std::printf("[%3zu/%zu] %-44s %s%s\n", done,
-                            in_shard, jr.label.c_str(), verdict,
-                            jr.cached ? "  (cached)" : "");
-            }
-            std::fflush(stdout);
-        };
-    }
+    exec.trackProgress(
+        specs, quiet,
+        [](const driver::JobResult &jr) {
+            const char *verdict =
+                jr.run.violationDetected
+                    ? "DETECTED"
+                    : (jr.run.indicatorChecked
+                           ? (jr.run.indicatorFired ? "exploit landed"
+                                                    : "exploit dud")
+                           : "escaped");
+            return std::string(verdict) +
+                   (jr.cached ? "  (cached)" : "");
+        },
+        &opts);
 
     driver::CampaignReport report = driver::runCampaign(specs, opts);
 
@@ -974,7 +936,7 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
 
     // Distill unless this run is one shard of a larger campaign (a
     // slice's rates would misrepresent it — the builder refuses).
-    if (std::max(1u, report.shardCount) == 1) {
+    if (report.shardCount == 1) {
         driver::SecurityReport sec;
         std::string err;
         if (!driver::buildSecurityReport(report, &sec, &err)) {
@@ -994,16 +956,11 @@ attackMain(const char *argv0, int argc, char **argv, int begin)
 }
 
 int
-snapshotMain(const char *argv0, int argc, char **argv, int begin)
+snapshotMain(const char *argv0, int argc, char **argv)
 {
-    driver::EnvOptions env = driver::optionsFromEnv();
-
-    std::string profiles_arg = "spec";
-    std::string variants_arg = "baseline,ucode-pred";
-    std::string out_path;
-    uint64_t seed = 1;
-    uint64_t scale = env.scale;
+    SweepFlags sweep;
     uint64_t warmup = 2000;
+    std::string out_path;
     bool quiet = false;
     bool list_only = false;
 
@@ -1017,52 +974,20 @@ snapshotMain(const char *argv0, int argc, char **argv, int begin)
         "bundle matches only campaigns with the\nidentical "
         "profiles/variants/seed/scale (single-rep), because\nentries "
         "are keyed by the driver's canonical spec hash.");
-    parser.add("--profiles", "LIST",
-               "comma-separated profile names, or one of\n"
-               "'spec', 'parsec', 'all', 'server' (default: spec)",
-               [&](const std::string &v) {
-                   profiles_arg = v;
-                   return true;
-               });
-    parser.add("--variants", "LIST",
-               "comma-separated variant tokens, or 'all'\n"
-               "(default: baseline,ucode-pred)",
-               [&](const std::string &v) {
-                   variants_arg = v;
-                   return true;
-               });
-    parser.add("--seed", "S", "campaign seed (default: 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, seed);
-               });
-    parser.add("--scale", "K",
-               "divide workload iteration counts by K\n"
-               "(default: $CHEX_BENCH_SCALE or 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, scale);
-               });
+    sweep.registerOn(parser);
     parser.add("--warmup", "N",
-               "macro-ops to execute before checkpointing\n"
-               "each machine (default: 2000)",
-               [&](const std::string &v) {
-                   return parseUint(v, warmup);
-               });
+               "macro-ops (>= 1) to execute before\n"
+               "checkpointing each machine (default: 2000)",
+               count(warmup, 1));
     parser.add("--out", "FILE",
                "write the snapshot bundle to FILE (required)",
-               [&](const std::string &v) {
-                   out_path = v;
-                   return true;
-               });
+               text(out_path));
     parser.add("--quiet", "suppress per-machine progress lines",
                [&]() { quiet = true; });
     parser.add("--list", "list profiles and variant tokens, exit",
                [&]() { list_only = true; });
-
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
+    if (std::optional<int> rc = parseArgs(parser, argc, argv))
+        return *rc;
     if (list_only) {
         listChoices();
         return 0;
@@ -1073,45 +998,24 @@ snapshotMain(const char *argv0, int argc, char **argv, int begin)
         std::fprintf(stderr, "%s: --out is required\n", ctx.c_str());
         return 2;
     }
-    if (scale == 0)
-        scale = 1;
-    if (warmup == 0) {
-        std::fprintf(stderr,
-                     "%s: --warmup must be at least 1 macro-op\n",
-                     ctx.c_str());
+    // Exactly the single-rep job list `run` builds: the per-entry
+    // specKey must equal the spec hash the driver computes for the
+    // matching job, or the fan-out finds nothing.
+    std::vector<driver::JobSpec> specs;
+    if (!sweep.jobs(ctx, 1, &specs))
         return 2;
-    }
-
-    std::vector<BenchmarkProfile> profiles;
-    std::vector<VariantKind> variants;
-    if (!resolveProfiles(ctx.c_str(), profiles_arg, scale,
-                         &profiles) ||
-        !resolveVariants(ctx.c_str(), variants_arg, &variants)) {
-        return 2;
-    }
-    if (profiles.empty() || variants.empty()) {
-        std::fprintf(stderr, "%s: nothing to snapshot\n",
-                     ctx.c_str());
-        return 2;
-    }
-
-    // Enumerate exactly the single-rep job list `run` would build:
-    // the per-entry specKey must equal the spec hash the driver
-    // computes for the matching job, or the fan-out finds nothing.
-    std::vector<driver::JobSpec> specs =
-        buildSpecs(profiles, variants, /*reps=*/1, seed);
 
     snapshot::Bundle bundle;
-    bundle.campaignSeed = seed;
+    bundle.campaignSeed = sweep.seed;
     bundle.warmupMacros = warmup;
     bundle.entries.reserve(specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
         const driver::JobSpec &spec = specs[i];
         snapshot::MachineEntry entry;
         std::string err;
-        if (!snapshot::buildEntry(spec.profile, spec.config, seed,
+        if (!snapshot::buildEntry(spec.profile, spec.config, sweep.seed,
                                   warmup,
-                                  driver::specHash(spec, seed),
+                                  driver::specHash(spec, sweep.seed),
                                   &entry, &err)) {
             std::fprintf(stderr, "%s: %s: %s\n", ctx.c_str(),
                          spec.label.c_str(), err.c_str());
@@ -1139,22 +1043,17 @@ snapshotMain(const char *argv0, int argc, char **argv, int begin)
                 "macro-ops, seed %llu)\n",
                 out_path.c_str(), bundle.entries.size(),
                 static_cast<unsigned long long>(warmup),
-                static_cast<unsigned long long>(seed));
+                static_cast<unsigned long long>(sweep.seed));
     return 0;
 }
 
 int
-replayMain(const char *argv0, int argc, char **argv, int begin)
+replayMain(const char *argv0, int argc, char **argv)
 {
-    driver::EnvOptions env = driver::optionsFromEnv();
-
+    SweepFlags sweep;
+    ExecutionFlags exec;
     std::string report_path;
-    std::string snapshot_path = env.snapshotPath;
-    std::optional<size_t> index;
-    uint64_t scale = env.scale;
-    bool isolate = env.isolate;
-    double timeout = env.timeoutSeconds;
-    bool uninit = false;
+    size_t index = 0;
     bool quiet = false;
 
     cli::FlagParser parser(
@@ -1169,66 +1068,19 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
         "same success), 1 when it differs.");
     parser.add("--report", "FILE",
                "the campaign report to replay from (required)",
-               [&](const std::string &v) {
-                   report_path = v;
-                   return true;
-               });
+               text(report_path));
     parser.add("--index", "N",
                "report row to replay (default: the first\n"
                "failed row)",
-               [&](const std::string &v) {
-                   uint64_t n;
-                   if (!parseUint(v, n))
-                       return false;
-                   index = static_cast<size_t>(n);
-                   return true;
-               });
-    parser.add("--from-snapshot", "FILE",
-               "the snapshot bundle the campaign fanned out\n"
-               "from; required to replay from-snapshot rows\n"
-               "(also seeded from $CHEX_BENCH_SNAPSHOT)",
-               [&](const std::string &v) {
-                   snapshot_path = v;
-                   return true;
-               });
-    parser.add("--scale", "K",
-               "the --scale the original campaign ran with\n"
-               "(default: $CHEX_BENCH_SCALE or 1)",
-               [&](const std::string &v) {
-                   return parseUint(v, scale);
-               });
-    parser.add("--isolate",
-               "fork the replayed job into its own child\n"
-               "process, so a crash reproduces as a failed\n"
-               "job (cause: signal) instead of killing the\n"
-               "replay",
-               [&]() { isolate = true; });
-    parser.add("--timeout", "SECS",
-               "per-attempt wall-clock watchdog for the\n"
-               "replayed job. Implies --isolate",
-               [&](const std::string &v) {
-                   char *end = nullptr;
-                   double t = std::strtod(v.c_str(), &end);
-                   if (!end || *end != '\0' || !(t >= 0.0))
-                       return false;
-                   timeout = t;
-                   return true;
-               });
-    parser.add("--uninit",
-               "the original campaign ran with\n"
-               "uninitialized-read detection on (the\n"
-               "`attack` subcommand's default); required\n"
-               "for such rows, or the reconstructed spec\n"
-               "hash will not match the recorded one",
-               [&]() { uninit = true; });
+               count(index));
+    sweep.registerOn(parser, SweepFlags::Scale);
+    exec.registerOn(parser, ExecutionFlags::Isolate |
+                                ExecutionFlags::Timeout |
+                                ExecutionFlags::FromSnapshot);
     parser.add("--quiet", "suppress the replay progress line",
                [&]() { quiet = true; });
-
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
+    if (std::optional<int> rc = parseArgs(parser, argc, argv))
+        return *rc;
 
     std::string ctx = std::string(argv0) + " replay";
     if (report_path.empty()) {
@@ -1236,10 +1088,6 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
                      ctx.c_str());
         return 2;
     }
-    if (scale == 0)
-        scale = 1;
-    if (timeout > 0.0 && !isolate)
-        isolate = true;
 
     driver::CampaignReport report;
     std::string err;
@@ -1247,31 +1095,20 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
         std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
         return 2;
     }
-
-    std::shared_ptr<const snapshot::Bundle> bundle;
-    if (!snapshot_path.empty()) {
-        snapshot::Bundle b;
-        if (!snapshot::loadBundleFile(snapshot_path, &b, &err)) {
-            std::fprintf(stderr, "%s: snapshot %s\n", ctx.c_str(),
-                         err.c_str());
-            return 2;
-        }
-        bundle =
-            std::make_shared<const snapshot::Bundle>(std::move(b));
-    }
+    driver::CampaignOptions opts;
+    if (!exec.options(ctx, report.seed, &opts))
+        return 2;
+    opts.workers = 1;
 
     size_t row = 0;
-    if (!driver::selectReplayRow(report, index, &row, &err)) {
-        std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
-        return 2;
-    }
-
-    SystemConfig base;
-    base.detectUninitializedReads = uninit;
-
     driver::ReplayPlan plan;
-    if (!driver::planReplay(report, row, base, scale,
-                            bundle.get(), &plan, &err)) {
+    if (!driver::selectReplayRow(report,
+                                 parser.given("--index")
+                                     ? std::optional<size_t>(index)
+                                     : std::nullopt,
+                                 &row, &err) ||
+        !driver::planReplay(report, row, sweep.scale,
+                            opts.snapshot.get(), &plan, &err)) {
         std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
         return 2;
     }
@@ -1285,13 +1122,6 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
                     plan.fromSnapshot ? "  (from snapshot)" : "");
         std::fflush(stdout);
     }
-
-    driver::CampaignOptions opts;
-    opts.workers = 1;
-    opts.seed = report.seed;
-    opts.isolation = isolate;
-    opts.timeoutSeconds = timeout;
-    opts.snapshot = bundle;
 
     driver::CampaignReport rerun =
         driver::runCampaign({plan.spec}, opts);
@@ -1315,7 +1145,7 @@ replayMain(const char *argv0, int argc, char **argv, int begin)
 }
 
 int
-mergeMain(const char *argv0, int argc, char **argv, int begin)
+mergeMain(const char *argv0, int argc, char **argv)
 {
     std::string out_path;
     bool quiet = false;
@@ -1332,58 +1162,43 @@ mergeMain(const char *argv0, int argc, char **argv, int begin)
     parser.add("--out", "FILE",
                "write the merged JSON report to FILE\n"
                "(default: stdout)",
-               [&](const std::string &v) {
-                   out_path = v;
-                   return true;
-               });
+               text(out_path));
     parser.add("--quiet", "suppress the merge summary line",
                [&]() { quiet = true; });
+    if (std::optional<int> rc = parseArgs(parser, argc, argv))
+        return *rc;
 
-    switch (parser.parse(argc, argv, begin)) {
-      case cli::ParseStatus::Ok: break;
-      case cli::ParseStatus::ExitOk: return 0;
-      case cli::ParseStatus::ExitUsage: return 2;
-    }
-
+    std::string ctx = std::string(argv0) + " merge";
     const std::vector<std::string> &paths = parser.positionalArgs();
     if (paths.empty()) {
-        std::fprintf(stderr, "%s merge: no shard reports given\n",
-                     argv0);
+        std::fprintf(stderr, "%s: no shard reports given\n",
+                     ctx.c_str());
         parser.usage(stderr);
         return 2;
     }
 
     std::vector<driver::CampaignReport> shards;
     shards.reserve(paths.size());
+    std::string err;
     for (const std::string &path : paths) {
         driver::CampaignReport shard;
-        std::string err;
         if (!driver::loadReportFile(path, shard, &err)) {
-            std::fprintf(stderr, "%s merge: %s\n", argv0,
-                         err.c_str());
+            std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
             return 2;
         }
         shards.push_back(std::move(shard));
     }
 
     driver::CampaignReport merged;
-    std::string err;
     if (!driver::mergeReports(shards, merged, &err)) {
-        std::fprintf(stderr, "%s merge: %s\n", argv0, err.c_str());
+        std::fprintf(stderr, "%s: %s\n", ctx.c_str(), err.c_str());
         return 2;
     }
 
-    if (!out_path.empty()) {
-        std::ofstream out(out_path);
-        if (!out) {
-            std::fprintf(stderr, "%s merge: cannot write '%s'\n",
-                         argv0, out_path.c_str());
-            return 1;
-        }
-        driver::writeReport(merged, out);
-    } else {
-        driver::writeReport(merged, std::cout);
-    }
+    std::ofstream out;
+    if (!openOutput(ctx, out_path, &out))
+        return 1;
+    driver::writeReport(merged, out.is_open() ? out : std::cout);
 
     if (!quiet) {
         // When the JSON itself goes to stdout, keep it parseable and
@@ -1412,8 +1227,7 @@ globalUsage(const char *argv0, FILE *out)
         "usage: %s <command> [options]\n"
         "\n"
         "commands:\n"
-        "  run       run a simulation campaign (the default: a bare\n"
-        "            `%s [options]` invocation means `run`)\n"
+        "  run       run a simulation campaign\n"
         "  attack    sweep seeded generated exploits (and the\n"
         "            hand-written suites) across variants and emit\n"
         "            the distilled security report\n"
@@ -1424,7 +1238,7 @@ globalUsage(const char *argv0, FILE *out)
         "            bit-identically to its campaign run\n"
         "\n"
         "run '%s <command> --help' for per-command options\n",
-        argv0, argv0, argv0);
+        argv0, argv0);
 }
 
 } // namespace
@@ -1432,29 +1246,23 @@ globalUsage(const char *argv0, FILE *out)
 int
 main(int argc, char **argv)
 {
-    if (argc > 1) {
-        std::string first = argv[1];
-        if (first == "run")
-            return runMain(argv[0], argc, argv, 2, false);
-        if (first == "attack")
-            return attackMain(argv[0], argc, argv, 2);
-        if (first == "merge")
-            return mergeMain(argv[0], argc, argv, 2);
-        if (first == "snapshot")
-            return snapshotMain(argv[0], argc, argv, 2);
-        if (first == "replay")
-            return replayMain(argv[0], argc, argv, 2);
-        if (first == "help" || first == "--help" || first == "-h") {
-            globalUsage(argv[0], stdout);
-            return 0;
-        }
-        if (!first.empty() && first[0] != '-') {
-            std::fprintf(stderr, "%s: unknown command '%s'\n",
-                         argv[0], first.c_str());
-            globalUsage(argv[0], stderr);
-            return 2;
-        }
+    using Command = int (*)(const char *, int, char **);
+    static const std::map<std::string, Command> commands = {
+        {"run", runMain},           {"attack", attackMain},
+        {"merge", mergeMain},       {"snapshot", snapshotMain},
+        {"replay", replayMain},
+    };
+    std::string first = argc > 1 ? argv[1] : "";
+    if (auto it = commands.find(first); it != commands.end())
+        return it->second(argv[0], argc, argv);
+    if (first == "help" || first == "--help" || first == "-h") {
+        globalUsage(argv[0], stdout);
+        return 0;
     }
-    // Back-compat: flags with no subcommand mean `run`.
-    return runMain(argv[0], argc, argv, 1, true);
+    if (argc > 1) {
+        std::fprintf(stderr, "%s: unknown command '%s'\n", argv[0],
+                     first.c_str());
+    }
+    globalUsage(argv[0], stderr);
+    return 2;
 }

@@ -1,12 +1,11 @@
 /**
  * @file
  * A small declarative flag parser for the chex command-line tools,
- * shared by the chex-campaign `run` and `merge` subcommands. Each
- * subcommand registers its flags (name, metavar, help, handler) and
- * gets argv parsing, `--help`, auto-generated per-subcommand usage
- * text, and positional-argument collection — replacing the
- * hand-rolled argv loop that grew a branch per flag across three
- * PRs.
+ * shared by every chex-campaign subcommand. Each subcommand
+ * registers its flags (name, metavar, help, handler) — flags shared
+ * between subcommands come from the flag groups that declare them —
+ * and gets argv parsing, `--help`, auto-generated per-subcommand
+ * usage text, and positional-argument collection.
  *
  * Handlers validate their value and return false to reject it; the
  * parser owns all error reporting, so every bad invocation prints
@@ -54,9 +53,8 @@ class FlagParser
   public:
     /**
      * @p prog is argv[0]; @p subcommand names the usage ("run",
-     * "merge", or "" for the bare-invocation alias of run);
-     * @p summary is the one-paragraph description printed by
-     * --help.
+     * "merge", ...); @p summary is the one-paragraph description
+     * printed by --help.
      */
     FlagParser(std::string prog, std::string subcommand,
                std::string summary)
@@ -106,12 +104,12 @@ class FlagParser
      * Parse argv[@p begin..). `--help`/`-h` prints the usage and
      * returns ExitOk; anything invalid is reported on stderr and
      * returns ExitUsage. Collected positionals land in
-     * positionalArgs().
+     * positionalArgs(), and given() reports which flags appeared.
      */
     ParseStatus
     parse(int argc, char **argv, int begin)
     {
-        std::vector<bool> seen(_flags.size(), false);
+        _seen.assign(_flags.size(), false);
         for (int i = begin; i < argc; ++i) {
             std::string arg = argv[i];
             if (arg == "--help" || arg == "-h") {
@@ -128,13 +126,13 @@ class FlagParser
             if (!flag)
                 return unknown(arg);
             size_t slot = static_cast<size_t>(flag - _flags.data());
-            if (flag->repeat == Repeat::Once && seen[slot]) {
+            if (flag->repeat == Repeat::Once && _seen[slot]) {
                 std::fprintf(stderr,
                              "%s: %s given more than once\n",
                              context().c_str(), arg.c_str());
                 return ParseStatus::ExitUsage;
             }
-            seen[slot] = true;
+            _seen[slot] = true;
             if (flag->onSwitch) {
                 flag->onSwitch();
                 continue;
@@ -162,13 +160,23 @@ class FlagParser
         return _positionalArgs;
     }
 
+    /** Whether the last parse() saw flag @p name. */
+    bool
+    given(const std::string &name) const
+    {
+        const Flag *flag = find(name);
+        if (!flag)
+            return false;
+        size_t slot = static_cast<size_t>(flag - _flags.data());
+        return slot < _seen.size() && _seen[slot];
+    }
+
     /** The auto-generated per-subcommand usage text. */
     void
     usage(FILE *out) const
     {
-        std::fprintf(out, "usage: %s%s%s [options]%s%s\n",
-                     _prog.c_str(), _subcommand.empty() ? "" : " ",
-                     _subcommand.c_str(),
+        std::fprintf(out, "usage: %s %s [options]%s%s\n",
+                     _prog.c_str(), _subcommand.c_str(),
                      _positionalMeta.empty() ? "" : " ",
                      _positionalMeta.c_str());
         std::fprintf(out, "\n%s\n\n", _summary.c_str());
@@ -197,8 +205,7 @@ class FlagParser
     std::string
     context() const
     {
-        return _subcommand.empty() ? _prog
-                                   : _prog + " " + _subcommand;
+        return _prog + " " + _subcommand;
     }
 
     const Flag *
@@ -218,9 +225,8 @@ class FlagParser
                      arg.empty() || arg[0] != '-' ? "argument"
                                                   : "option",
                      arg.c_str());
-        std::fprintf(stderr, "run '%s%s%s --help' for usage\n",
-                     _prog.c_str(), _subcommand.empty() ? "" : " ",
-                     _subcommand.c_str());
+        std::fprintf(stderr, "run '%s --help' for usage\n",
+                     context().c_str());
         return ParseStatus::ExitUsage;
     }
 
@@ -260,6 +266,7 @@ class FlagParser
     std::string _positionalMeta;
     std::string _positionalHelp;
     std::vector<Flag> _flags;
+    std::vector<bool> _seen;
     std::vector<std::string> _positionalArgs;
 };
 
