@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <queue>
@@ -191,6 +193,29 @@ snapshotEntryFor(const JobSpec &spec, uint64_t seed,
     return opts.snapshot->findBySpecKey(specHash(spec, seed));
 }
 
+/** The job's workload seed: pinned, or derived from its index. */
+uint64_t
+effectiveSeed(const JobSpec &spec, size_t index,
+              const CampaignOptions &opts)
+{
+    return spec.workloadSeed ? *spec.workloadSeed
+                             : jobSeed(opts.seed, index);
+}
+
+/** Evaluate the job's body once: override, attack, or workload. */
+RunResult
+runBody(const JobSpec &spec, uint64_t seed, const CampaignOptions &opts)
+{
+    if (spec.body)
+        return spec.body(spec, seed);
+    if (!spec.attack.empty())
+        return runAttackSpec(spec, seed);
+    const snapshot::MachineEntry *snap =
+        snapshotEntryFor(spec, seed, opts);
+    return snap ? runSpecFromSnapshot(spec, seed, *snap)
+                : runSpec(spec, seed);
+}
+
 /**
  * Fill the identity fields every JobResult carries, run or cached.
  * specHash stays 0 for body-override jobs: their outcome is not a
@@ -210,8 +235,7 @@ describeJob(const JobSpec &spec, size_t index,
     jr.variant = variantName(spec.config.variant.kind);
     jr.repetition = spec.repetition;
     jr.attack = spec.attack;
-    jr.seed = spec.workloadSeed ? *spec.workloadSeed
-                                : jobSeed(opts.seed, index);
+    jr.seed = effectiveSeed(spec, index, opts);
     jr.specHash = spec.body ? 0 : specHash(spec, jr.seed);
     if (const snapshot::MachineEntry *entry =
             snapshotEntryFor(spec, jr.seed, opts)) {
@@ -221,22 +245,15 @@ describeJob(const JobSpec &spec, size_t index,
     return jr;
 }
 
-/** Execute one job, including bounded retry and failure capture. */
+/**
+ * Execute one job, including bounded retry and failure capture;
+ * isolated attempts run in @p worker.
+ */
 JobResult
 executeJob(const JobSpec &spec, size_t index,
-           const CampaignOptions &opts)
+           const CampaignOptions &opts, WorkerProcess &worker)
 {
     JobResult jr = describeJob(spec, index, opts);
-    const snapshot::MachineEntry *snap =
-        snapshotEntryFor(spec, jr.seed, opts);
-    auto run_body = [&]() {
-        if (spec.body)
-            return spec.body(spec, jr.seed);
-        if (!spec.attack.empty())
-            return runAttackSpec(spec, jr.seed);
-        return snap ? runSpecFromSnapshot(spec, jr.seed, *snap)
-                    : runSpec(spec, jr.seed);
-    };
 
     // Wall time accumulates across attempts (attemptSeconds keeps
     // the per-attempt breakdown), so a job that fails twice before
@@ -253,7 +270,7 @@ executeJob(const JobSpec &spec, size_t index,
 
         if (opts.isolation) {
             AttemptOutcome out =
-                runIsolatedAttempt(run_body, opts.timeoutSeconds);
+                worker.run(index, opts.timeoutSeconds);
             record_attempt(out.wallSeconds);
             if (out.ok) {
                 jr.run = std::move(out.run);
@@ -274,7 +291,7 @@ executeJob(const JobSpec &spec, size_t index,
 
         Clock::time_point start = Clock::now();
         try {
-            jr.run = run_body();
+            jr.run = runBody(spec, jr.seed, opts);
             record_attempt(secondsSince(start));
             jr.failed = false;
             jr.error.clear();
@@ -381,7 +398,23 @@ runCampaign(const std::vector<JobSpec> &jobs,
     for (size_t i : to_run)
         pending.push(i);
 
-    auto worker_fn = [&]() {
+    // One worker process per worker thread; it inherits `jobs` and
+    // `opts`, so it needs only job indices. Under isolation the first
+    // ones are forked here, before any worker thread exists: no
+    // campaign thread can then hold a lock (allocator, static
+    // initializer, log) that fork() would copy, held forever, into
+    // the child. Only a re-fork after a failed attempt happens while
+    // other threads run. Destroying `procs` ends and reaps them all.
+    std::deque<WorkerProcess> procs;
+    for (unsigned i = 0; i < workers; ++i) {
+        procs.emplace_back([&](size_t j) {
+            return runBody(jobs[j], effectiveSeed(jobs[j], j, opts), opts);
+        });
+        if (opts.isolation && i < to_run.size())
+            procs.back().start();
+    }
+
+    auto worker_fn = [&](WorkerProcess &worker) {
         for (;;) {
             size_t index;
             {
@@ -391,7 +424,8 @@ runCampaign(const std::vector<JobSpec> &jobs,
                 index = pending.front();
                 pending.pop();
             }
-            report.jobs[index] = executeJob(jobs[index], index, opts);
+            report.jobs[index] =
+                executeJob(jobs[index], index, opts, worker);
             if (opts.onJobDone) {
                 std::lock_guard<std::mutex> lock(done_mtx);
                 opts.onJobDone(report.jobs[index]);
@@ -400,12 +434,12 @@ runCampaign(const std::vector<JobSpec> &jobs,
     };
 
     if (workers == 1) {
-        worker_fn(); // in-caller: easier to debug, nothing to join
+        worker_fn(procs[0]); // in-caller: easier to debug, nothing to join
     } else {
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned i = 0; i < workers; ++i)
-            pool.emplace_back(worker_fn);
+            pool.emplace_back(worker_fn, std::ref(procs[i]));
         for (std::thread &t : pool)
             t.join();
     }

@@ -19,12 +19,14 @@
  * throwing job with the same seed up to maxAttempts times.
  *
  * Process isolation (CampaignOptions::isolation): each attempt runs
- * in a fork()ed child supervised by a per-attempt wall-clock
- * watchdog, so a chex_panic()/chex_assert() abort, a stray SIGSEGV,
- * or a stuck workload is captured as a failed job with a structured
- * FailureCause instead of taking down (or hanging) the campaign
- * process. See subprocess.hh; in-process execution remains the
- * default and is bit-for-bit unaffected.
+ * in a fork()ed worker process supervised by a per-attempt
+ * wall-clock watchdog, so a chex_panic()/chex_assert() abort, a
+ * stray SIGSEGV, or a stuck workload is captured as a failed job
+ * with a structured FailureCause instead of taking down (or hanging)
+ * the campaign process. Each worker thread has one worker process,
+ * reused until an attempt fails. See subprocess.hh;
+ * in-process execution remains the default and is bit-for-bit
+ * unaffected.
  *
  * Result caching (CampaignOptions::cacheReports): prior campaign
  * reports act as a result cache. Every job is content-hashed (see
@@ -193,8 +195,15 @@ struct JobResult
      */
     int termSignal = 0;
 
-    double wallSeconds = 0.0;          // summed over all attempts
-    std::vector<double> attemptSeconds; // per-attempt breakdown
+    /**
+     * Wall clock summed over all attempts; attemptSeconds keeps the
+     * per-attempt breakdown. Under isolation, the first attempt in a
+     * worker process also carries its first-touch page faults, and
+     * the first attempt after a failed one also carries the re-fork
+     * of its worker (the initial forks precede every job).
+     */
+    double wallSeconds = 0.0;
+    std::vector<double> attemptSeconds;
     RunResult run;                      // valid only when !failed
 };
 
@@ -242,14 +251,22 @@ struct CampaignOptions
     unsigned maxAttempts = 1;
 
     /**
-     * Run every attempt in a fork()ed child process (crash/hang
-     * capture; see subprocess.hh). Off by default: in-process
-     * execution stays the deterministic fast path.
+     * Run every attempt in a fork()ed worker process (crash/hang
+     * capture; see subprocess.hh). runCampaign forks one per worker
+     * thread before the threads start, and each thread sends its
+     * worker job after job; successful attempts share it, and any
+     * failed attempt retires it, so a retry or the next job starts
+     * in a fresh fork. Reuse is
+     * result-preserving: every body builds its own System and the
+     * simulator keeps no mutable process-wide state. Off by default:
+     * in-process execution stays the fast path, and no process is
+     * forked.
      */
     bool isolation = false;
 
     /**
-     * Per-attempt wall-clock watchdog in seconds; a child still
+     * Per-attempt wall-clock watchdog in seconds, counted from when
+     * the job is handed to its worker process; a worker still
      * running at the deadline is SIGKILLed and the attempt recorded
      * as FailureCause::Timeout. 0 disables the watchdog. Only
      * meaningful with isolation (in-process bodies cannot be safely

@@ -1,20 +1,35 @@
 /**
  * @file
- * Fork-isolated execution of one campaign-job attempt.
+ * Process-isolated execution of campaign-job attempts.
  *
- * The worker fork()s a child that evaluates the job body and streams
- * the RunResult back to the parent over a pipe as a single JSON
- * document (the same serializers the campaign report uses, plus the
- * strict fromJson direction to rebuild the struct). The parent
- * supervises the child with a per-attempt wall-clock watchdog and
- * classifies every way the attempt can end:
+ * Each campaign worker thread owns one WorkerProcess: a long-lived
+ * child that inherits the job list and options by copy-on-write.
+ * runCampaign forks them before it starts the worker threads, so no
+ * campaign thread holds a lock (allocator, static initializer) that
+ * fork() would copy, held forever, into a child; only re-forks after
+ * failures happen while other threads run. The parent
+ * sends it a job index over a socketpair; the child evaluates the
+ * job body and answers with one length-prefixed JSON document,
+ * {"result": {...}} or {"error": "..."} (the serializers the
+ * campaign report uses, read back through the same strict fromJson).
+ * The parent supervises each attempt with a wall-clock watchdog that
+ * starts when the index is sent, and classifies every way the
+ * attempt can end:
  *
- *  - child exits 0 with {"result": {...}}              -> success
- *  - child exits 0 with {"error": "..."}               -> Exception
+ *  - child answers {"result": {...}}                   -> success
+ *  - child answers {"error": "..."}                    -> Exception
  *  - child dies on a signal (chex_panic -> SIGABRT,
  *    SIGSEGV, ...)                                     -> Signal
  *  - child outlives the watchdog and is SIGKILLed      -> Timeout
- *  - child exits non-zero / garbles the result         -> NonzeroExit
+ *  - child exits non-zero without an answer            -> NonzeroExit
+ *  - child exits 0 without one / garbles its answer    -> Exception
+ *
+ * Successive successful attempts of a thread share one child. Any
+ * failed attempt retires it (SIGKILL, then reap), so a retry or the
+ * next job starts in a fresh fork of the parent, exactly as if every
+ * attempt had its own process. Reuse is result-preserving because
+ * the simulator holds no mutable process-wide state beyond the log
+ * level, and each job body builds its own System.
  *
  * One bad (profile × variant × seed) point therefore costs exactly
  * one job, never the campaign process.
@@ -23,6 +38,9 @@
 #ifndef CHEX_DRIVER_SUBPROCESS_HH
 #define CHEX_DRIVER_SUBPROCESS_HH
 
+#include <sys/types.h>
+
+#include <cstddef>
 #include <functional>
 #include <string>
 
@@ -33,7 +51,7 @@ namespace chex
 namespace driver
 {
 
-/** What one fork-isolated attempt produced. */
+/** What one isolated attempt produced. */
 struct AttemptOutcome
 {
     bool ok = false;
@@ -50,19 +68,70 @@ struct AttemptOutcome
     /** Terminating/killing signal (cause Signal/Timeout); else 0. */
     int termSignal = 0;
 
-    /** Parent-measured wall clock of the whole attempt. */
+    /**
+     * Parent-measured wall clock of the whole attempt, including the
+     * fork when the attempt had to start a worker.
+     */
     double wallSeconds = 0.0;
 };
 
 /**
- * Fork a child, evaluate @p body in it, and supervise: the child
- * reports its RunResult (or exception message) over a pipe, and the
- * parent kills it once @p timeout_seconds of wall clock elapse
- * (0 = no watchdog). Safe to call concurrently from multiple worker
- * threads. Never throws; every failure mode is an AttemptOutcome.
+ * One long-lived worker process serving one campaign worker thread.
+ *
+ * Channel hygiene: every parent-side channel fd is registered under
+ * one fork lock, and a freshly forked child closes all of them, so no
+ * worker holds a sibling's channel open. Closing a channel therefore
+ * ends its worker at once, and a worker's death reads as EOF or EPIPE
+ * at once. Sends use MSG_NOSIGNAL: a dead peer is an EPIPE, never a
+ * SIGPIPE that would kill the campaign.
+ *
+ * Not thread-safe: one object per worker thread. Distinct objects
+ * are safe to use concurrently.
  */
-AttemptOutcome runIsolatedAttempt(
-    const std::function<RunResult()> &body, double timeout_seconds);
+class WorkerProcess
+{
+  public:
+    /** @p body runs in the child, once for each job index sent. */
+    explicit WorkerProcess(std::function<RunResult(size_t)> body);
+
+    /** Ends the worker, if one is alive, by closing its channel. */
+    ~WorkerProcess();
+
+    WorkerProcess(const WorkerProcess &) = delete;
+    WorkerProcess &operator=(const WorkerProcess &) = delete;
+
+    /**
+     * Fork the worker now, if none is alive, rather than at the next
+     * run(). A fork that fails here is retried, and reported, by
+     * run().
+     */
+    void start();
+
+    /**
+     * Run job @p index in the worker, forking one first if none is
+     * alive, and kill it once @p timeout_seconds of wall clock elapse
+     * after the index is sent (0 = no watchdog). A worker that died
+     * while idle is re-forked and the index resent, at no cost to
+     * the attempt. The worker is kept after a success and retired
+     * after any failure. Never throws; every failure mode is an
+     * AttemptOutcome.
+     */
+    AttemptOutcome run(size_t index, double timeout_seconds);
+
+  private:
+    /** Fork a worker; false (errno set) when that fails. */
+    bool spawn();
+
+    /**
+     * Close the channel, SIGKILL the worker when @p kill, and reap
+     * it; its wait status.
+     */
+    int retire(bool kill);
+
+    std::function<RunResult(size_t)> body_;
+    pid_t pid_ = -1; // -1: no worker alive
+    int fd_ = -1;    // parent end of the channel
+};
 
 } // namespace driver
 } // namespace chex

@@ -3,7 +3,8 @@
  * Campaign-driver tests: scheduling-independent determinism (an
  * N-thread campaign reproduces the 1-thread campaign bit for bit),
  * per-job failure isolation and bounded retry, fork-isolated workers
- * (panic/SIGKILL/timeout capture, cross-process result streaming),
+ * (panic/SIGKILL/timeout capture, cross-process result streaming,
+ * worker reuse until a failure, idle worker death, reaping),
  * seed derivation, the result cache (spec hashing, hit/miss on
  * spec/seed/scale changes, failed jobs never satisfying, cached
  * bit-identity), campaign sharding (the union of K shards is
@@ -20,12 +21,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -41,6 +47,7 @@
 #include "driver/replay.hh"
 #include "driver/report.hh"
 #include "driver/spec_hash.hh"
+#include "driver/subprocess.hh"
 #include "sim/system.hh"
 #include "snapshot/snapshot.hh"
 #include "workload/generator.hh"
@@ -430,6 +437,162 @@ TEST(Isolation, MatchesInProcessBitForBit)
         EXPECT_DOUBLE_EQ(a.jobs[i].run.capCacheMissRate,
                          b.jobs[i].run.capCacheMissRate);
     }
+}
+
+/** A result that records which process produced it, in `cycles`. */
+RunResult
+pidResult()
+{
+    RunResult r;
+    r.exited = true;
+    r.cycles = static_cast<uint64_t>(::getpid());
+    return r;
+}
+
+using Body = std::function<RunResult(const driver::JobSpec &, uint64_t)>;
+
+/**
+ * A body whose first attempt leaves its pid in the file @p marker and
+ * then fails through @p fail; a retry returns pidResult() with the
+ * failed attempt's pid in `macroOps`.
+ */
+Body
+failsOnce(const std::string &marker, std::function<void()> fail)
+{
+    std::remove(marker.c_str());
+    return [marker, fail](const driver::JobSpec &, uint64_t) {
+        uint64_t first = 0;
+        if (!(std::ifstream(marker) >> first)) {
+            std::ofstream(marker) << ::getpid();
+            fail();
+        }
+        RunResult r = pidResult();
+        r.macroOps = first;
+        return r;
+    };
+}
+
+/** True when the calling process has no child left, reaped or not. */
+bool
+noChildLeft()
+{
+    errno = 0;
+    return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
+}
+
+TEST(Isolation, WorkerIsReusedUntilAnAttemptFails)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::vector<Body> bodies = {
+        [](const driver::JobSpec &, uint64_t) { return pidResult(); },
+        [](const driver::JobSpec &, uint64_t) { return pidResult(); },
+        failsOnce(dir + "chex_fail_exception", [] {
+            throw std::runtime_error("first attempt throws");
+        }),
+        failsOnce(dir + "chex_fail_panic",
+                  [] { chex_panic("first attempt panics"); }),
+        failsOnce(dir + "chex_fail_hang", [] {
+            for (;;)
+                std::this_thread::sleep_for(std::chrono::seconds(1));
+        }),
+        failsOnce(dir + "chex_fail_exit", [] { ::_exit(7); }),
+        [](const driver::JobSpec &, uint64_t) { return pidResult(); },
+    };
+    std::vector<driver::JobSpec> jobs(bodies.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        jobs[i].label = "job" + std::to_string(i);
+        jobs[i].body = bodies[i];
+    }
+
+    driver::CampaignOptions opts;
+    opts.workers = 1; // one worker thread, so one worker at a time
+    opts.isolation = true;
+    opts.timeoutSeconds = 0.5;
+    opts.maxAttempts = 2;
+    driver::CampaignReport r = driver::runCampaign(jobs, opts);
+
+    ASSERT_EQ(r.jobsFailed, 0u);
+    auto pid = [&](size_t i) { return r.jobs[i].run.cycles; };
+    // Consecutive successes share one worker process.
+    EXPECT_EQ(r.jobs[0].attempts, 1u);
+    EXPECT_EQ(r.jobs[1].attempts, 1u);
+    EXPECT_EQ(pid(0), pid(1));
+    EXPECT_NE(pid(0), static_cast<uint64_t>(::getpid()));
+    // Each failure kind ran in the worker the previous job left, and
+    // retired it: the retry ran in a fresh one, which the next job
+    // then reuses.
+    for (size_t i = 2; i <= 5; ++i) {
+        SCOPED_TRACE(jobs[i].label);
+        EXPECT_EQ(r.jobs[i].attempts, 2u);
+        EXPECT_EQ(r.jobs[i].run.macroOps, pid(i - 1));
+        EXPECT_NE(pid(i), pid(i - 1));
+    }
+    EXPECT_EQ(pid(6), pid(5));
+    // Every worker was reaped before runCampaign returned.
+    EXPECT_TRUE(noChildLeft());
+}
+
+TEST(Isolation, WorkerDeathWhileIdleCostsNoAttempt)
+{
+    std::vector<driver::JobSpec> jobs(2);
+    jobs[0].body = [](const driver::JobSpec &, uint64_t) {
+        ::alarm(1); // SIGALRM ends this worker while it waits
+        return pidResult();
+    };
+    jobs[1].body = [](const driver::JobSpec &, uint64_t) {
+        return pidResult();
+    };
+
+    driver::CampaignOptions opts;
+    opts.workers = 1;
+    opts.isolation = true;
+    opts.onJobDone = [](const driver::JobResult &jr) {
+        if (jr.index == 0)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+    };
+    // Sending job 1 to the dead worker must not raise SIGPIPE here.
+    driver::CampaignReport r = driver::runCampaign(jobs, opts);
+
+    ASSERT_FALSE(r.jobs[0].failed);
+    ASSERT_FALSE(r.jobs[1].failed) << r.jobs[1].error;
+    EXPECT_EQ(r.jobs[1].attempts, 1u);
+    EXPECT_NE(r.jobs[1].run.cycles, r.jobs[0].run.cycles);
+    EXPECT_TRUE(noChildLeft());
+}
+
+/** The number of sockets the calling process has open. */
+uint64_t
+openSockets()
+{
+    uint64_t n = 0;
+    for (const auto &fd :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        std::error_code ec;
+        std::string target = std::filesystem::read_symlink(fd, ec);
+        n += target.rfind("socket:", 0) == 0;
+    }
+    return n;
+}
+
+TEST(Isolation, WorkerHoldsNoSiblingChannel)
+{
+    // Each worker reports the sockets it has open: only its own end
+    // of its channel beyond what the campaign process already had,
+    // never the parent end of a sibling forked before it.
+    auto sockets = [](size_t) {
+        RunResult r = pidResult();
+        r.cycles = openSockets();
+        return r;
+    };
+    const uint64_t inherited = openSockets();
+    driver::WorkerProcess first(sockets);
+    driver::WorkerProcess second(sockets);
+    driver::AttemptOutcome a = first.run(0, 0.0);
+    driver::AttemptOutcome b = second.run(0, 0.0);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_EQ(a.run.cycles, inherited + 1);
+    EXPECT_EQ(b.run.cycles, inherited + 1);
 }
 
 TEST(Json, WriteParseRoundTrip)
