@@ -10,8 +10,11 @@
 #define CHEX_BASE_BASE64_HH
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
+
+#include "base/fields.hh"
 
 namespace chex
 {
@@ -31,6 +34,37 @@ base64Encode(const std::vector<uint8_t> &data)
  * input: bad characters, bad length, or misplaced padding.
  */
 bool base64Decode(const std::string &text, std::vector<uint8_t> &out);
+
+/**
+ * A fixed-length byte buffer (a std::vector or std::array of
+ * uint8_t) as a snapshot member (base/fields.hh): written as
+ * base64, read back only at the buffer's current length.
+ */
+template <typename B>
+struct Base64Bytes
+{
+    B &bytes;
+
+    json::Value
+    encode() const
+    {
+        return base64Encode(bytes.data(), bytes.size());
+    }
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        std::vector<uint8_t> read;
+        if (!v.isString() || !base64Decode(v.str(), read) ||
+            read.size() != bytes.size()) {
+            return json::reject(why, " is not base64 of " +
+                                         std::to_string(bytes.size()) +
+                                         " bytes");
+        }
+        std::memcpy(bytes.data(), read.data(), read.size());
+        return true;
+    }
+};
 
 } // namespace chex
 

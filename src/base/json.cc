@@ -522,42 +522,5 @@ Value::parse(const std::string &text, Value &out, std::string *err)
     return Parser(text).parse(out, err);
 }
 
-bool
-getBool(const Value &obj, const std::string &key, bool dflt)
-{
-    const Value *v = obj.find(key);
-    return v && v->isBool() ? v->boolean() : dflt;
-}
-
-uint64_t
-getUint(const Value &obj, const std::string &key, uint64_t dflt)
-{
-    const Value *v = obj.find(key);
-    return v && v->isNumber() ? v->asUint64() : dflt;
-}
-
-int64_t
-getInt(const Value &obj, const std::string &key, int64_t dflt)
-{
-    const Value *v = obj.find(key);
-    return v && v->isNumber() ? static_cast<int64_t>(v->number())
-                              : dflt;
-}
-
-double
-getDouble(const Value &obj, const std::string &key, double dflt)
-{
-    const Value *v = obj.find(key);
-    return v && v->isNumber() ? v->number() : dflt;
-}
-
-std::string
-getString(const Value &obj, const std::string &key,
-          const std::string &dflt)
-{
-    const Value *v = obj.find(key);
-    return v && v->isString() ? v->str() : dflt;
-}
-
 } // namespace json
 } // namespace chex

@@ -158,26 +158,6 @@ class Value
 /** Write @p s as a quoted, escaped JSON string literal. */
 void writeEscaped(std::ostream &os, const std::string &s);
 
-/**
- * @{ @name Parse→struct helpers
- *
- * Member lookups with a default, for mapping parsed documents onto
- * structs (the `fromJson` direction of the report serializers): the
- * default is returned when @p obj is not an object, the member is
- * absent, or the member has the wrong kind, so optional/older-schema
- * fields read cleanly.
- */
-bool getBool(const Value &obj, const std::string &key, bool dflt);
-uint64_t getUint(const Value &obj, const std::string &key,
-                 uint64_t dflt);
-/** Signed variant for members that can be negative (exit codes). */
-int64_t getInt(const Value &obj, const std::string &key,
-               int64_t dflt);
-double getDouble(const Value &obj, const std::string &key, double dflt);
-std::string getString(const Value &obj, const std::string &key,
-                      const std::string &dflt);
-/** @} */
-
 } // namespace json
 } // namespace chex
 

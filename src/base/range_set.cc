@@ -107,4 +107,22 @@ RangeSet::totalLength() const
     return sum;
 }
 
+bool
+RangeSet::decode(const json::Value &v, std::string *why)
+{
+    std::vector<Range> read;
+    if (!json::decode(v, read, why))
+        return false;
+    for (size_t i = 0; i < read.size(); ++i) {
+        if (read[i].first >= read[i].second ||
+            (i > 0 && read[i].first <= read[i - 1].second)) {
+            return json::reject(why, "[" + std::to_string(i) +
+                                         "] is empty or not past the "
+                                         "range before it");
+        }
+    }
+    ranges = std::move(read);
+    return true;
+}
+
 } // namespace chex

@@ -19,8 +19,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "base/fields.hh"
 
 namespace chex
 {
@@ -69,6 +72,14 @@ class RangeSet
 
     /** Ascending iteration over the disjoint ranges. */
     const std::vector<Range> &items() const { return ranges; }
+
+    /** @{ @name Snapshot codec (base/fields.hh)
+     * The ranges as [start, end) pairs. Reading rejects a list that
+     * is not canonical: an empty range, or one that does not start
+     * past the end of the one before it. */
+    json::Value encode() const { return json::encode(ranges); }
+    bool decode(const json::Value &v, std::string *why);
+    /** @} */
 
   private:
     /** Index of the first range with start > @p point. */

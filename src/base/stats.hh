@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "base/fields.hh"
 #include "base/json.hh"
 
 namespace chex
@@ -51,6 +52,15 @@ class Scalar
     /** Widened for formulas and JSON (may round past 2^53). */
     double value() const { return static_cast<double>(_count); }
     void reset() { _count = 0; }
+
+    /** @{ @name Snapshot codec: the exact count (base/fields.hh) */
+    json::Value encode() const { return _count; }
+    bool
+    decode(const json::Value &v, std::string *why)
+    {
+        return json::decode(v, _count, why);
+    }
+    /** @} */
 
   private:
     uint64_t _count = 0;

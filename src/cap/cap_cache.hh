@@ -49,25 +49,13 @@ class CapabilityCache
 
     void clear() { cache.clear(); }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value
-    saveState() const
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh) */
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
     {
-        return json::Value::object()
-            .set("cache", cache.saveState())
-            .set("invalidationsSent", _invalidationsSent);
-    }
-
-    bool
-    restoreState(const json::Value &v)
-    {
-        if (!v.isObject())
-            return false;
-        const json::Value *c = v.find("cache");
-        if (!c || !cache.restoreState(*c))
-            return false;
-        _invalidationsSent = json::getUint(v, "invalidationsSent", 0);
-        return true;
+        f("cache", s.cache);
+        f("invalidationsSent", s._invalidationsSent);
     }
     /** @} */
 

@@ -240,141 +240,172 @@ CapabilityTable::clear()
     liveCount = 0;
 }
 
-json::Value
-CapabilityTable::saveState() const
+namespace
 {
-    json::Value jcaps = json::Value::array();
-    store.forEach([&](Pid pid, const Capability &cap) {
-        jcaps.push(json::Value::object()
-                       .set("pid", pid)
-                       .set("base", cap.base)
-                       .set("bounds", cap.bounds)
-                       .set("perms", cap.perms));
-    });
 
-    // The interval indices are serialized verbatim rather than
-    // rebuilt from the perms bits: on base collisions (e.g. a freed
-    // block re-allocated at the same address) the index keeps the
-    // most recent PID, which a rebuild from the capability store
-    // could not reproduce deterministically.
-    auto index_json = [](const IntervalIndex &index) {
+/** One capability's snapshot record. */
+template <typename P, typename C>
+auto
+capRecord(P &pid, C &cap)
+{
+    return [&](auto &f) {
+        f("pid", pid);
+        f("base", cap.base);
+        f("bounds", cap.bounds);
+        f("perms", cap.perms);
+    };
+}
+
+/** One initialization shadow's snapshot record. */
+template <typename P, typename S>
+auto
+initRecord(P &pid, S &sh)
+{
+    return [&](auto &f) {
+        f("pid", pid);
+        f("words", sh.words);
+        f("ranges", sh.set);
+    };
+}
+
+/** A PID read from a record: nonzero, since PID 0 is NoPid. */
+bool
+checkPid(Pid pid, std::string *why)
+{
+    return pid != NoPid || json::reject(why, ".pid is 0");
+}
+
+/** The capability store as capRecord()s in ascending PID order. */
+template <typename T>
+struct CapList
+{
+    T &store;
+
+    json::Value
+    encode() const
+    {
         json::Value out = json::Value::array();
-        index.forEach([&](uint64_t base, Pid pid) {
-            json::Value pair = json::Value::array();
-            pair.push(base);
-            pair.push(pid);
-            out.push(std::move(pair));
+        store.forEach([&](Pid pid, const Capability &cap) {
+            out.push(json::encodeObject(capRecord(pid, cap)));
         });
         return out;
-    };
-
-    std::vector<Pid> init_pids;
-    init_pids.reserve(initBits.size());
-    for (const auto &[pid, sh] : initBits) {
-        (void)sh;
-        init_pids.push_back(pid);
-    }
-    std::sort(init_pids.begin(), init_pids.end());
-    json::Value jinit = json::Value::array();
-    for (Pid pid : init_pids) {
-        const InitShadow &sh = initBits.at(pid);
-        // Materialize the word bitmap the old representation held,
-        // so the snapshot document stays byte-identical.
-        std::vector<uint64_t> words(sh.words, 0);
-        for (const auto &[lo, hi] : sh.set.items()) {
-            uint64_t end = std::min<uint64_t>(hi, sh.words * 64);
-            for (uint64_t w = lo; w < end; ++w)
-                words[w / 64] |= 1ull << (w % 64);
-        }
-        json::Value jwords = json::Value::array();
-        for (uint64_t w : words)
-            jwords.push(w);
-        jinit.push(json::Value::object()
-                       .set("pid", pid)
-                       .set("words", std::move(jwords)));
     }
 
-    return json::Value::object()
-        .set("caps", std::move(jcaps))
-        .set("liveByBase", index_json(liveByBase))
-        .set("freedByBase", index_json(freedByBase))
-        .set("initBits", std::move(jinit))
-        .set("nextPid", nextPid)
-        .set("liveCount", liveCount);
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        return json::decodeAscending<Pid>(
+            v,
+            [this](const json::Value &item, Pid &pid, std::string *why) {
+                Capability cap;
+                if (!json::decodeObject(item, capRecord(pid, cap), why) ||
+                    !checkPid(pid, why))
+                    return false;
+                store.assign(pid, cap);
+                return true;
+            },
+            why);
+    }
+};
+
+/**
+ * An interval index as [base, pid] pairs in ascending base order.
+ * It is written verbatim rather than rebuilt from the perms bits: on
+ * base collisions (a freed block re-allocated at the same address)
+ * the index keeps the most recent PID, which a rebuild from the
+ * capability store could not reproduce deterministically.
+ */
+template <typename T>
+struct IndexPairs
+{
+    T &index;
+
+    json::Value
+    encode() const
+    {
+        json::Value out = json::Value::array();
+        index.forEach([&](uint64_t base, Pid pid) {
+            out.push(json::encode(std::pair(base, pid)));
+        });
+        return out;
+    }
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        return json::decodePairs<uint64_t, Pid>(
+            v,
+            [this](uint64_t base, Pid pid, std::string *) {
+                index.assign(base, pid);
+                return true;
+            },
+            why);
+    }
+};
+
+/** The initialization shadows as initRecord()s in ascending PID
+ * order. */
+template <typename T>
+struct InitList
+{
+    T &shadows;
+
+    json::Value
+    encode() const
+    {
+        std::vector<Pid> pids;
+        pids.reserve(shadows.size());
+        for (const auto &entry : shadows)
+            pids.push_back(entry.first);
+        std::sort(pids.begin(), pids.end());
+        json::Value out = json::Value::array();
+        for (Pid pid : pids)
+            out.push(json::encodeObject(initRecord(pid, shadows.at(pid))));
+        return out;
+    }
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        return json::decodeAscending<Pid>(
+            v,
+            [this](const json::Value &item, Pid &pid, std::string *why) {
+                typename T::mapped_type sh;
+                if (!json::decodeObject(item, initRecord(pid, sh), why) ||
+                    !checkPid(pid, why))
+                    return false;
+                shadows[pid] = std::move(sh);
+                return true;
+            },
+            why);
+    }
+};
+
+} // namespace
+
+template <typename S, typename F>
+void
+CapabilityTable::fields(S &s, F &&f)
+{
+    f("caps", CapList{s.store});
+    f("liveByBase", IndexPairs{s.liveByBase});
+    f("freedByBase", IndexPairs{s.freedByBase});
+    f("initBits", InitList{s.initBits});
+    f("nextPid", s.nextPid);
+    f("liveCount", s.liveCount);
+}
+
+json::Value
+CapabilityTable::encode() const
+{
+    return json::encodeFields(*this);
 }
 
 bool
-CapabilityTable::restoreState(const json::Value &v)
+CapabilityTable::decode(const json::Value &v, std::string *why)
 {
-    if (!v.isObject())
-        return false;
-    const json::Value *jcaps = v.find("caps");
-    const json::Value *jlive = v.find("liveByBase");
-    const json::Value *jfreed = v.find("freedByBase");
-    const json::Value *jinit = v.find("initBits");
-    if (!jcaps || !jcaps->isArray() || !jlive || !jlive->isArray() ||
-        !jfreed || !jfreed->isArray() || !jinit || !jinit->isArray()) {
-        return false;
-    }
     clear();
-    for (const json::Value &je : jcaps->items()) {
-        if (!je.isObject())
-            return false;
-        Capability cap;
-        cap.base = json::getUint(je, "base", 0);
-        cap.bounds = static_cast<uint32_t>(json::getUint(je, "bounds", 0));
-        cap.perms = static_cast<uint32_t>(json::getUint(je, "perms", 0));
-        store.assign(static_cast<Pid>(json::getUint(je, "pid", 0)),
-                     cap);
-    }
-    auto restore_index = [](const json::Value &list,
-                            IntervalIndex &index) {
-        for (const json::Value &pair : list.items()) {
-            if (!pair.isArray() || pair.size() != 2)
-                return false;
-            index.assign(pair.at(size_t(0)).asUint64(),
-                         static_cast<Pid>(
-                             pair.at(size_t(1)).asUint64()));
-        }
-        return true;
-    };
-    if (!restore_index(*jlive, liveByBase) ||
-        !restore_index(*jfreed, freedByBase)) {
-        return false;
-    }
-    for (const json::Value &je : jinit->items()) {
-        if (!je.isObject())
-            return false;
-        const json::Value *jwords = je.find("words");
-        if (!jwords || !jwords->isArray())
-            return false;
-        InitShadow sh;
-        sh.words = jwords->size();
-        // Recover merged intervals from the serialized bitmap.
-        uint64_t run_start = 0;
-        bool in_run = false;
-        for (uint64_t wi = 0; wi < sh.words; ++wi) {
-            uint64_t word = jwords->at(wi).asUint64();
-            for (uint64_t b = 0; b < 64; ++b) {
-                bool set = word & (1ull << b);
-                uint64_t idx = wi * 64 + b;
-                if (set && !in_run) {
-                    run_start = idx;
-                    in_run = true;
-                } else if (!set && in_run) {
-                    sh.set.add(run_start, idx);
-                    in_run = false;
-                }
-            }
-        }
-        if (in_run)
-            sh.set.add(run_start, sh.words * 64);
-        initBits[static_cast<Pid>(json::getUint(je, "pid", 0))] =
-            std::move(sh);
-    }
-    nextPid = static_cast<Pid>(json::getUint(v, "nextPid", 1));
-    liveCount = json::getUint(v, "liveCount", 0);
-    return true;
+    return json::decodeFields(v, *this, why);
 }
 
 } // namespace chex

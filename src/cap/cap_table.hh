@@ -15,8 +15,7 @@
  * live/freed interval indices are pooled-chunk sorted runs, and the
  * opt-in initialization shadow is an interval set instead of a full
  * per-allocation word bitmap. All three preserve the exact semantics
- * and chex-snapshot-v1 serialization of the std::map-based stores
- * they replaced.
+ * of the std::map-based stores they replaced.
  */
 
 #ifndef CHEX_CAP_CAP_TABLE_HH
@@ -27,7 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "base/json.hh"
+#include "base/fields.hh"
 #include "base/range_set.hh"
 #include "cap/capability.hh"
 #include "cap/interval_index.hh"
@@ -148,15 +147,19 @@ class CapabilityTable
     /** Erase everything (new process). */
     void clear();
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
      * Covers the capability map, the live/freed interval indices,
-     * the PID allocator, and the initialization shadow; the
-     * config-derived knobs (maxAllocSize, trackInit) are not state
-     * and stay with the constructor. The document is byte-identical
-     * to the one the std::map-backed table emitted — including the
-     * materialized word bitmaps for initBits entries. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+     * the PID allocator, and the initialization shadow (each entry's
+     * shadow length and its initialized words as [lo, hi) ranges);
+     * the config-derived knobs (maxAllocSize, trackInit) are not
+     * state and stay with the constructor. Lists are keyed records
+     * in ascending key order; decoding rejects a repeated or
+     * out-of-order PID or base, and PID 0. The field list is
+     * defined next to its record codecs in cap_table.cc. */
+    template <typename S, typename F>
+    static void fields(S &s, F &&f);
+    json::Value encode() const;
+    bool decode(const json::Value &v, std::string *why);
     /** @} */
 
   private:
@@ -165,8 +168,7 @@ class CapabilityTable
      * (relative to base, 8 bytes per word) ever written, as merged
      * intervals. `words` is the length of the bitmap the old
      * representation would have held — (bounds+63)/64 + 1 uint64s —
-     * preserved so saveState() re-materializes the identical
-     * document and out-of-range queries answer identically.
+     * preserved so out-of-range queries answer identically.
      */
     struct InitShadow
     {

@@ -10,7 +10,7 @@
  * it already owns.
  *
  * A per-page presence bitmap distinguishes "slot never written" from
- * "capability with all-zero fields", which restoreState needs when a
+ * "capability with all-zero fields", which decode() needs when a
  * crafted snapshot carries sparse PID sets.
  */
 

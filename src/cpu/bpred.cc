@@ -1,6 +1,5 @@
 #include "bpred.hh"
 
-#include "base/base64.hh"
 #include "base/logging.hh"
 
 namespace chex
@@ -192,112 +191,11 @@ BranchPredictor::update(uint64_t pc, bool taken, uint64_t target,
     }
 }
 
-json::Value
-BranchPredictor::saveState() const
-{
-    json::Value jtagged = json::Value::array();
-    for (size_t t = 0; t < tagged.size(); ++t) {
-        for (size_t i = 0; i < tagged[t].size(); ++i) {
-            const TaggedEntry &e = tagged[t][i];
-            if (!e.valid)
-                continue;
-            jtagged.push(json::Value::object()
-                             .set("table", static_cast<uint64_t>(t))
-                             .set("slot", static_cast<uint64_t>(i))
-                             .set("tag", e.tag)
-                             .set("ctr", static_cast<int64_t>(e.ctr))
-                             .set("useful", e.useful));
-        }
-    }
-    json::Value jbtb = json::Value::array();
-    for (size_t i = 0; i < btb.size(); ++i) {
-        const BtbEntry &e = btb[i];
-        if (!e.valid)
-            continue;
-        jbtb.push(json::Value::object()
-                      .set("slot", static_cast<uint64_t>(i))
-                      .set("tag", e.tag)
-                      .set("target", e.target));
-    }
-    json::Value jras = json::Value::array();
-    for (uint64_t r : ras)
-        jras.push(r);
-    return json::Value::object()
-        .set("bimodalEntries", cfg.bimodalEntries)
-        .set("taggedTables", cfg.taggedTables)
-        .set("taggedEntries", cfg.taggedEntries)
-        .set("btbEntries", cfg.btbEntries)
-        .set("rasEntries", cfg.rasEntries)
-        .set("bimodal", base64Encode(bimodal.data(), bimodal.size()))
-        .set("tagged", std::move(jtagged))
-        .set("btb", std::move(jbtb))
-        .set("ras", std::move(jras))
-        .set("rasTop", static_cast<uint64_t>(rasTop))
-        .set("history", history)
-        .set("numLookups", numLookups)
-        .set("numDirWrong", numDirWrong)
-        .set("numTargetWrong", numTargetWrong);
-}
-
 bool
-BranchPredictor::restoreState(const json::Value &v)
+BranchPredictor::decode(const json::Value &v, std::string *why)
 {
-    if (!v.isObject())
-        return false;
-    if (json::getUint(v, "bimodalEntries", 0) != cfg.bimodalEntries ||
-        json::getUint(v, "taggedTables", 0) != cfg.taggedTables ||
-        json::getUint(v, "taggedEntries", 0) != cfg.taggedEntries ||
-        json::getUint(v, "btbEntries", 0) != cfg.btbEntries ||
-        json::getUint(v, "rasEntries", 0) != cfg.rasEntries) {
-        return false;
-    }
-    const json::Value *jbim = v.find("bimodal");
-    const json::Value *jtagged = v.find("tagged");
-    const json::Value *jbtb = v.find("btb");
-    const json::Value *jras = v.find("ras");
-    if (!jbim || !jbim->isString() || !jtagged || !jtagged->isArray() ||
-        !jbtb || !jbtb->isArray() || !jras || !jras->isArray() ||
-        jras->size() != ras.size()) {
-        return false;
-    }
-    std::vector<uint8_t> bim;
-    if (!base64Decode(jbim->str(), bim) || bim.size() != bimodal.size())
-        return false;
-    bimodal = std::move(bim);
-    for (auto &table : tagged)
-        for (auto &e : table)
-            e = TaggedEntry{};
-    for (const json::Value &je : jtagged->items()) {
-        uint64_t t = json::getUint(je, "table", UINT64_MAX);
-        uint64_t slot = json::getUint(je, "slot", UINT64_MAX);
-        if (t >= tagged.size() || slot >= tagged[t].size())
-            return false;
-        TaggedEntry &e = tagged[t][slot];
-        e.tag = static_cast<uint16_t>(json::getUint(je, "tag", 0));
-        e.ctr = static_cast<int8_t>(json::getInt(je, "ctr", 0));
-        e.useful = static_cast<uint8_t>(json::getUint(je, "useful", 0));
-        e.valid = true;
-    }
-    for (auto &e : btb)
-        e = BtbEntry{};
-    for (const json::Value &je : jbtb->items()) {
-        uint64_t slot = json::getUint(je, "slot", UINT64_MAX);
-        if (slot >= btb.size())
-            return false;
-        BtbEntry &e = btb[slot];
-        e.tag = json::getUint(je, "tag", 0);
-        e.target = json::getUint(je, "target", 0);
-        e.valid = true;
-    }
-    for (size_t i = 0; i < ras.size(); ++i)
-        ras[i] = jras->at(i).asUint64();
-    rasTop = json::getUint(v, "rasTop", 0);
-    history = json::getUint(v, "history", 0);
     foldsValid = false;
-    numLookups = json::getUint(v, "numLookups", 0);
-    numDirWrong = json::getUint(v, "numDirWrong", 0);
-    numTargetWrong = json::getUint(v, "numTargetWrong", 0);
-    return true;
+    return json::decodeFields(v, *this, why);
 }
 
 } // namespace chex

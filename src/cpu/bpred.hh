@@ -15,7 +15,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/json.hh"
+#include "base/base64.hh"
+#include "base/fields.hh"
 
 namespace chex
 {
@@ -66,14 +67,44 @@ class BranchPredictor
     uint64_t directionMispredicts() const { return numDirWrong; }
     uint64_t targetMispredicts() const { return numTargetWrong; }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
-     * The bimodal table goes in whole (base64); tagged/BTB entries
-     * sparsely (valid only — invalid slots are never read thanks to
-     * the allocation policy's short-circuit); the RAS fully (it is
-     * circular, every cell is reachable). Restore rejects a
-     * geometry mismatch. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
+     * The bimodal table goes in whole (base64); tagged (one list per
+     * table) and BTB entries sparsely (valid only — invalid slots
+     * are never read thanks to the allocation policy's
+     * short-circuit); the RAS fully (it is circular, every cell is
+     * reachable). Decoding rejects a geometry mismatch. */
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
+    {
+        f("bimodalEntries", json::Pinned{s.cfg.bimodalEntries});
+        f("taggedTables", json::Pinned{s.cfg.taggedTables});
+        f("taggedEntries", json::Pinned{s.cfg.taggedEntries});
+        f("btbEntries", json::Pinned{s.cfg.btbEntries});
+        f("rasEntries", json::Pinned{s.cfg.rasEntries});
+        f("bimodal", Base64Bytes{s.bimodal});
+        f("tagged", json::FixedLength{s.tagged, [](auto &table) {
+                                          return json::ValidSlots{
+                                              table, [](auto &e, auto &g) {
+                                                  g("tag", e.tag);
+                                                  g("ctr", e.ctr);
+                                                  g("useful", e.useful);
+                                              }};
+                                      }});
+        f("btb", json::ValidSlots{s.btb, [](auto &e, auto &g) {
+                                      g("tag", e.tag);
+                                      g("target", e.target);
+                                  }});
+        f("ras", json::FixedLength{s.ras});
+        f("rasTop", s.rasTop);
+        f("history", s.history);
+        f("numLookups", s.numLookups);
+        f("numDirWrong", s.numDirWrong);
+        f("numTargetWrong", s.numTargetWrong);
+    }
+
+    /** The field list's reader; also drops the folded-history memo. */
+    bool decode(const json::Value &v, std::string *why);
     /** @} */
 
   private:

@@ -197,7 +197,7 @@ Core::addUop(const UopTimingIn &in)
             // Data is forwardable once the store executes; the cache
             // write is post-commit and charged for traffic only.
             storeForward.insert(in.effAddr >> 3, complete);
-            if (storeForward.size() > 8192)
+            if (storeForward.size() > StoreForwardTable::MaxWords)
                 storeForward.clear();
             hier.dataAccess(in.effAddr, true);
         }
@@ -275,165 +275,6 @@ Core::stallFetch(uint64_t cycles)
 {
     uint64_t frontier = std::max(fetchCycle, fetchAvail);
     fetchAvail = frontier + cycles;
-}
-
-json::Value
-Core::saveState() const
-{
-    auto cal = [](const ResourceCalendar &c) { return c.saveState(); };
-    auto win = [](const OccupancyWindow &w) { return w.saveState(); };
-
-    json::Value jready = json::Value::array();
-    for (uint64_t r : regReady)
-        jready.push(r);
-
-    std::vector<std::pair<uint64_t, uint64_t>> fwd;
-    fwd.reserve(storeForward.size());
-    storeForward.forEach([&](uint64_t word, uint64_t ready) {
-        fwd.emplace_back(word, ready);
-    });
-    std::sort(fwd.begin(), fwd.end());
-    json::Value jfwd = json::Value::array();
-    for (const auto &[word, ready] : fwd) {
-        json::Value pair = json::Value::array();
-        pair.push(word);
-        pair.push(ready);
-        jfwd.push(std::move(pair));
-    }
-
-    return json::Value::object()
-        .set("bpred", bpred.saveState())
-        .set("fetchCycle", fetchCycle)
-        .set("fetchAvail", fetchAvail)
-        .set("macrosThisCycle", macrosThisCycle)
-        .set("lastFetchLine", lastFetchLine)
-        .set("issueCal", cal(issueCal))
-        .set("commitCal", cal(commitCal))
-        .set("intAlu", cal(intAlu))
-        .set("intMult", cal(intMult))
-        .set("fpAlu", cal(fpAlu))
-        .set("simd", cal(simd))
-        .set("loadPort", cal(loadPort))
-        .set("storePort", cal(storePort))
-        .set("capUnit", cal(capUnit))
-        .set("rob", win(rob))
-        .set("iq", win(iq))
-        .set("lq", win(lq))
-        .set("sq", win(sq))
-        .set("intRegWindow", win(intRegWindow))
-        .set("fpRegWindow", win(fpRegWindow))
-        .set("regReady", std::move(jready))
-        .set("storeForward", std::move(jfwd))
-        .set("curPc", curPc)
-        .set("curBranch", json::Value::object()
-                              .set("isBranch", curBranch.isBranch)
-                              .set("isCall", curBranch.isCall)
-                              .set("isReturn", curBranch.isReturn)
-                              .set("isUncondDirect",
-                                   curBranch.isUncondDirect)
-                              .set("isConditional",
-                                   curBranch.isConditional)
-                              .set("isIndirect", curBranch.isIndirect)
-                              .set("fallthrough", curBranch.fallthrough))
-        .set("curPrediction",
-             json::Value::object()
-                 .set("taken", curPrediction.taken)
-                 .set("target", curPrediction.target)
-                 .set("targetKnown", curPrediction.targetKnown))
-        .set("branchUopComplete", branchUopComplete)
-        .set("lastCommitCycle", lastCommitCycle)
-        .set("maxCommitCycle", maxCommitCycle)
-        .set("numUops", numUops)
-        .set("numMacros", numMacros)
-        .set("squashBranch", _squashBranch)
-        .set("squashAlias", _squashAlias)
-        .set("branchMispredicts", _branchMispredicts)
-        .set("zeroIdioms", _zeroIdioms);
-}
-
-bool
-Core::restoreState(const json::Value &v)
-{
-    if (!v.isObject())
-        return false;
-    const json::Value *jb = v.find("bpred");
-    if (!jb || !bpred.restoreState(*jb))
-        return false;
-
-    struct CalSlot { const char *key; ResourceCalendar *cal; };
-    struct WinSlot { const char *key; OccupancyWindow *win; };
-    const CalSlot cals[] = {
-        {"issueCal", &issueCal}, {"commitCal", &commitCal},
-        {"intAlu", &intAlu},     {"intMult", &intMult},
-        {"fpAlu", &fpAlu},       {"simd", &simd},
-        {"loadPort", &loadPort}, {"storePort", &storePort},
-        {"capUnit", &capUnit},
-    };
-    for (const CalSlot &slot : cals) {
-        const json::Value *jc = v.find(slot.key);
-        if (!jc || !slot.cal->restoreState(*jc))
-            return false;
-    }
-    const WinSlot wins[] = {
-        {"rob", &rob}, {"iq", &iq}, {"lq", &lq}, {"sq", &sq},
-        {"intRegWindow", &intRegWindow}, {"fpRegWindow", &fpRegWindow},
-    };
-    for (const WinSlot &slot : wins) {
-        const json::Value *jw = v.find(slot.key);
-        if (!jw || !slot.win->restoreState(*jw))
-            return false;
-    }
-
-    const json::Value *jready = v.find("regReady");
-    if (!jready || !jready->isArray() || jready->size() != NumArchRegs)
-        return false;
-    for (size_t r = 0; r < NumArchRegs; ++r)
-        regReady[r] = jready->at(r).asUint64();
-
-    const json::Value *jfwd = v.find("storeForward");
-    if (!jfwd || !jfwd->isArray())
-        return false;
-    storeForward.clear();
-    for (const json::Value &pair : jfwd->items()) {
-        if (!pair.isArray() || pair.size() != 2)
-            return false;
-        storeForward.insert(pair.at(size_t(0)).asUint64(),
-                            pair.at(size_t(1)).asUint64());
-    }
-
-    fetchCycle = json::getUint(v, "fetchCycle", 0);
-    fetchAvail = json::getUint(v, "fetchAvail", 0);
-    macrosThisCycle =
-        static_cast<unsigned>(json::getUint(v, "macrosThisCycle", 0));
-    lastFetchLine = json::getUint(v, "lastFetchLine", ~0ull);
-    curPc = json::getUint(v, "curPc", 0);
-    if (const json::Value *jcb = v.find("curBranch")) {
-        curBranch.isBranch = json::getBool(*jcb, "isBranch", false);
-        curBranch.isCall = json::getBool(*jcb, "isCall", false);
-        curBranch.isReturn = json::getBool(*jcb, "isReturn", false);
-        curBranch.isUncondDirect =
-            json::getBool(*jcb, "isUncondDirect", false);
-        curBranch.isConditional =
-            json::getBool(*jcb, "isConditional", false);
-        curBranch.isIndirect = json::getBool(*jcb, "isIndirect", false);
-        curBranch.fallthrough = json::getUint(*jcb, "fallthrough", 0);
-    }
-    if (const json::Value *jcp = v.find("curPrediction")) {
-        curPrediction.taken = json::getBool(*jcp, "taken", false);
-        curPrediction.target = json::getUint(*jcp, "target", 0);
-        curPrediction.targetKnown =
-            json::getBool(*jcp, "targetKnown", false);
-    }
-    branchUopComplete = json::getUint(v, "branchUopComplete", 0);
-    lastCommitCycle = json::getUint(v, "lastCommitCycle", 0);
-    maxCommitCycle = json::getUint(v, "maxCommitCycle", 0);
-    numUops = json::getUint(v, "numUops", 0);
-    numMacros = json::getUint(v, "numMacros", 0);
-    _squashBranch = json::getUint(v, "squashBranch", 0);
-    _squashAlias = json::getUint(v, "squashAlias", 0);
-    _branchMispredicts = json::getUint(v, "branchMispredicts", 0);
-    _zeroIdioms = json::getUint(v, "zeroIdioms", 0);
-    return true;
 }
 
 } // namespace chex

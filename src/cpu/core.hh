@@ -134,13 +134,62 @@ class Core
     BranchPredictor &branchPredictor() { return bpred; }
     const CoreConfig &config() const { return cfg; }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
      * Every timing-visible field: predictor, fetch frontier, all
      * resource calendars and occupancy windows, dataflow readiness,
      * store-forwarding map, per-macro bookkeeping, commit frontiers,
      * and counters. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
+    {
+        f("bpred", s.bpred);
+        f("fetchCycle", s.fetchCycle);
+        f("fetchAvail", s.fetchAvail);
+        f("macrosThisCycle", s.macrosThisCycle);
+        f("lastFetchLine", s.lastFetchLine);
+        f("issueCal", s.issueCal);
+        f("commitCal", s.commitCal);
+        f("intAlu", s.intAlu);
+        f("intMult", s.intMult);
+        f("fpAlu", s.fpAlu);
+        f("simd", s.simd);
+        f("loadPort", s.loadPort);
+        f("storePort", s.storePort);
+        f("capUnit", s.capUnit);
+        f("rob", s.rob);
+        f("iq", s.iq);
+        f("lq", s.lq);
+        f("sq", s.sq);
+        f("intRegWindow", s.intRegWindow);
+        f("fpRegWindow", s.fpRegWindow);
+        f("regReady", json::FixedLength{s.regReady});
+        f("storeForward", s.storeForward);
+        f("curPc", s.curPc);
+        f("curBranch", json::Group{[&](auto &g) {
+              g("isBranch", s.curBranch.isBranch);
+              g("isCall", s.curBranch.isCall);
+              g("isReturn", s.curBranch.isReturn);
+              g("isUncondDirect", s.curBranch.isUncondDirect);
+              g("isConditional", s.curBranch.isConditional);
+              g("isIndirect", s.curBranch.isIndirect);
+              g("fallthrough", s.curBranch.fallthrough);
+          }});
+        f("curPrediction", json::Group{[&](auto &g) {
+              g("taken", s.curPrediction.taken);
+              g("target", s.curPrediction.target);
+              g("targetKnown", s.curPrediction.targetKnown);
+          }});
+        f("branchUopComplete", s.branchUopComplete);
+        f("lastCommitCycle", s.lastCommitCycle);
+        f("maxCommitCycle", s.maxCommitCycle);
+        f("numUops", s.numUops);
+        f("numMacros", s.numMacros);
+        f("squashBranch", s._squashBranch);
+        f("squashAlias", s._squashAlias);
+        f("branchMispredicts", s._branchMispredicts);
+        f("zeroIdioms", s._zeroIdioms);
+    }
     /** @} */
 
   private:

@@ -11,7 +11,7 @@
 
 #include <cstdint>
 
-#include "base/json.hh"
+#include "base/fields.hh"
 #include "isa/uops.hh"
 #include "mem/sparse_memory.hh"
 
@@ -64,25 +64,14 @@ class MachineState
 
     SparseMemory &memory() { return mem; }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
-     * Registers only; memory is serialized by its owner. */
-    json::Value
-    saveState() const
-    {
-        json::Value out = json::Value::array();
-        for (uint64_t r : regs)
-            out.push(r);
-        return out;
-    }
-
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
+     * Registers only, as an array; memory is serialized by its
+     * owner. */
+    json::Value encode() const { return json::FixedLength{regs}.encode(); }
     bool
-    restoreState(const json::Value &v)
+    decode(const json::Value &v, std::string *why)
     {
-        if (!v.isArray() || v.size() != NumArchRegs)
-            return false;
-        for (size_t r = 0; r < NumArchRegs; ++r)
-            regs[r] = v.at(r).asUint64();
-        return true;
+        return json::FixedLength{regs}.decode(v, why);
     }
     /** @} */
 

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "base/base64.hh"
-#include "base/json.hh"
+#include "base/fields.hh"
 #include "base/logging.hh"
 
 namespace chex
@@ -68,29 +68,13 @@ class ResourceCalendar
         base = 0;
     }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value
-    saveState() const
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh) */
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
     {
-        return json::Value::object()
-            .set("base", base)
-            .set("used", base64Encode(used.data(), used.size()));
-    }
-
-    bool
-    restoreState(const json::Value &v)
-    {
-        if (!v.isObject())
-            return false;
-        const json::Value *ju = v.find("used");
-        std::vector<uint8_t> bytes;
-        if (!ju || !ju->isString() || !base64Decode(ju->str(), bytes) ||
-            bytes.size() != used.size()) {
-            return false;
-        }
-        used = std::move(bytes);
-        base = json::getUint(v, "base", 0);
-        return true;
+        f("base", s.base);
+        f("used", Base64Bytes{s.used});
     }
     /** @} */
 
@@ -168,31 +152,22 @@ class OccupancyWindow
         headIdx = 0;
     }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value
-    saveState() const
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
+     * The monotone allocation count and the release ring; the
+     * wrapped index is rebuilt from the count. */
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
     {
-        json::Value jr = json::Value::array();
-        for (uint64_t c : releaseCycles)
-            jr.push(c);
-        return json::Value::object()
-            .set("head", head)
-            .set("release", std::move(jr));
+        f("head", s.head);
+        f("release", json::FixedLength{s.releaseCycles});
     }
 
     bool
-    restoreState(const json::Value &v)
+    decode(const json::Value &v, std::string *why)
     {
-        if (!v.isObject())
+        if (!json::decodeFields(v, *this, why))
             return false;
-        const json::Value *jr = v.find("release");
-        if (!jr || !jr->isArray() || jr->size() != releaseCycles.size())
-            return false;
-        for (size_t i = 0; i < releaseCycles.size(); ++i)
-            releaseCycles[i] = jr->at(i).asUint64();
-        head = json::getUint(v, "head", 0);
-        // Snapshots store the monotone allocation count; rebuild the
-        // wrapped index so old snapshots restore correctly.
         headIdx = static_cast<unsigned>(head % cap);
         return true;
     }

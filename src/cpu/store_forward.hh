@@ -22,9 +22,14 @@
 #ifndef CHEX_CPU_STORE_FORWARD_HH
 #define CHEX_CPU_STORE_FORWARD_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "base/fields.hh"
 
 namespace chex
 {
@@ -35,6 +40,9 @@ class StoreForwardTable
   public:
     /** Slot count; must exceed 2x the core's clear threshold. */
     static constexpr size_t Capacity = 16384;
+    /** The core's clear threshold: it clears the table once it holds
+     * more words than this, bounding the modelled store history. */
+    static constexpr size_t MaxWords = 8192;
 
     StoreForwardTable() : slots(Capacity) {}
 
@@ -87,6 +95,40 @@ class StoreForwardTable
             if (s.epoch == epoch)
                 fn(s.word, s.ready);
     }
+
+    /** @{ @name Snapshot codec (base/fields.hh)
+     * [word, ready] pairs in ascending word order. Decoding rejects a
+     * repeated or out-of-order word and more than MaxWords words. */
+    json::Value
+    encode() const
+    {
+        std::vector<std::pair<uint64_t, uint64_t>> pairs;
+        pairs.reserve(_size);
+        forEach([&](uint64_t word, uint64_t ready) {
+            pairs.emplace_back(word, ready);
+        });
+        std::sort(pairs.begin(), pairs.end());
+        return json::encode(pairs);
+    }
+
+    bool
+    decode(const json::Value &v, std::string *why)
+    {
+        if (v.isArray() && v.size() > MaxWords) {
+            return json::reject(why, " holds more than " +
+                                         std::to_string(MaxWords) +
+                                         " words");
+        }
+        clear();
+        return json::decodePairs<uint64_t, uint64_t>(
+            v,
+            [this](uint64_t word, uint64_t ready, std::string *) {
+                insert(word, ready);
+                return true;
+            },
+            why);
+    }
+    /** @} */
 
   private:
     struct Slot

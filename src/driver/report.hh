@@ -3,12 +3,13 @@
  * Campaign-report serialization: RunResult, JobResult, and
  * CampaignReport → JSON (schema "chex-campaign-report-v7", described
  * in DESIGN.md §8) and back. Each struct's members are declared once,
- * in one field list that both directions walk. The RunResult
- * serializer is also what single runs use to emit structured stats
- * next to System::dumpStatsJson, and the fromJson direction is how
- * fork-isolated workers stream results to the campaign parent and
- * how every report consumer (--cache, merge, replay, attack
- * --from-report, the bench harnesses) loads a file.
+ * in one field list that both directions walk with the generic field
+ * walker of base/fields.hh (shared with the snapshot codec). The
+ * RunResult serializer is also what single runs use to emit
+ * structured stats next to System::dumpStatsJson, and the fromJson
+ * direction is how fork-isolated workers stream results to the
+ * campaign parent and how every report consumer (--cache, merge,
+ * replay, attack --from-report, the bench harnesses) loads a file.
  */
 
 #ifndef CHEX_DRIVER_REPORT_HH

@@ -109,12 +109,30 @@ class HeapAllocator
     stats::StatGroup &statGroup() { return statsGroup; }
     /** @} */
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
      * Arena state only (bins, wilderness pointer, ASan shadow
-     * ranges, counters); chunk metadata lives in simulated memory
-     * and travels with the SparseMemory pages. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+     * ranges, quarantine, counters); chunk metadata lives in
+     * simulated memory and travels with the SparseMemory pages. */
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
+    {
+        f("top", s.top);
+        f("bins", json::FixedLength{s.bins});
+        f("poisonRanges", s.poisonRanges);
+        f("quarantine", s.quarantine);
+        f("quarantineHeld", s.quarantineHeld);
+        f("redzoneHeld", s.redzoneHeld);
+        f("liveCount", s.liveCount);
+        f("maxLiveCount", s.maxLiveCount);
+        f("liveBytes", s.liveBytes);
+        f("peakLiveBytes", s.peakLiveBytes);
+        f("totalAllocs", s.statTotalAllocs);
+        f("totalFrees", s.statTotalFrees);
+        f("failedAllocs", s.statFailedAllocs);
+        f("binReuse", s.statBinReuse);
+        f("bumpAllocs", s.statBumpAllocs);
+    }
     /** @} */
 
     static constexpr uint64_t HeaderBytes = 16;
@@ -158,6 +176,19 @@ class HeapAllocator
     {
         uint64_t chunk;
         uint64_t chunkSize;
+
+        /** Snapshot form: [chunk, chunkSize]. */
+        json::Value
+        encode() const
+        {
+            return json::encode(std::pair(chunk, chunkSize));
+        }
+        bool
+        decode(const json::Value &v, std::string *why)
+        {
+            auto pair = std::tie(chunk, chunkSize);
+            return json::decode(v, pair, why);
+        }
     };
     std::deque<QuarantineEntry> quarantine;
     uint64_t quarantineHeld = 0;

@@ -169,138 +169,50 @@ AliasTable::clear()
     lastLookupWord = ~0ull;
 }
 
-namespace
+void
+AliasTable::encodeEntries(const Node *node, unsigned level,
+                          uint64_t word, json::Value &out) const
 {
+    for (uint64_t i = 0; i < Fanout; ++i) {
+        uint64_t slot = node->slots[i];
+        if (!slot)
+            continue;
+        uint64_t w = word << BitsPerLevel | i;
+        if (level + 1 < Levels) {
+            encodeEntries(reinterpret_cast<const Node *>(slot), level + 1,
+                          w, out);
+        } else {
+            out.push(json::encode(std::pair(w, static_cast<uint32_t>(slot))));
+        }
+    }
+}
 
-/**
- * One node as a sorted [slot, payload] pair list; the payload is a
- * child node (interior levels) or the stored PID (leaf level). The
- * node's slot array is its first member, so the stored child pointer
- * doubles as a pointer to the child's array.
- */
 json::Value
-saveNode(const std::array<uint64_t, 512> &slots, unsigned level,
-         unsigned levels)
+AliasTable::encode() const
 {
     json::Value out = json::Value::array();
-    for (size_t i = 0; i < slots.size(); ++i) {
-        if (!slots[i])
-            continue;
-        json::Value pair = json::Value::array();
-        pair.push(static_cast<uint64_t>(i));
-        if (level + 1 < levels) {
-            const auto *child =
-                reinterpret_cast<const std::array<uint64_t, 512> *>(
-                    slots[i]);
-            pair.push(saveNode(*child, level + 1, levels));
-        } else {
-            pair.push(slots[i]);
-        }
-        out.push(std::move(pair));
-    }
+    encodeEntries(root, 0, 0, out);
     return out;
 }
 
-} // namespace
-
-json::Value
-AliasTable::saveState() const
-{
-    std::vector<std::pair<uint64_t, uint32_t>> pages;
-    aliasPages.forEachNonzero([&](uint64_t page, uint32_t count) {
-        pages.emplace_back(page, count);
-    });
-    std::sort(pages.begin(), pages.end());
-    json::Value jpages = json::Value::array();
-    for (const auto &[page, count] : pages) {
-        json::Value pair = json::Value::array();
-        pair.push(page);
-        pair.push(count);
-        jpages.push(std::move(pair));
-    }
-    return json::Value::object()
-        .set("tree", saveNode(root->slots, 0, Levels))
-        .set("pages", std::move(jpages))
-        .set("liveEntries", _liveEntries);
-}
-
 bool
-AliasTable::restoreNode(Node *node, const json::Value &v, unsigned level)
+AliasTable::decode(const json::Value &v, std::string *why)
 {
-    if (!v.isArray())
-        return false;
-    for (const json::Value &pair : v.items()) {
-        if (!pair.isArray() || pair.size() != 2 ||
-            !pair.at(size_t(0)).isNumber()) {
-            return false;
-        }
-        uint64_t idx = pair.at(size_t(0)).asUint64();
-        if (idx >= Fanout)
-            return false;
-        if (node->slots[idx]) {
-            // Duplicate slot index: overwriting would orphan the
-            // child already hanging here (the pre-reclamation code
-            // leaked it and died on the clear() leak assert later).
-            return false;
-        }
-        if (level + 1 < Levels) {
-            Node *child = allocNode();
-            node->slots[idx] = reinterpret_cast<uint64_t>(child);
-            ++node->liveSlots;
-            // A child without live slots is a dead subtree, which
-            // the writer never emits (reclamation frees emptied
-            // nodes): reject it rather than resurrect it.
-            if (!restoreNode(child, pair.at(size_t(1)), level + 1) ||
-                child->liveSlots == 0)
-                return false;
-        } else {
-            if (!pair.at(size_t(1)).isNumber())
-                return false;
-            uint64_t payload = pair.at(size_t(1)).asUint64();
-            // Leaf payloads are PIDs: nonzero (zero slots are never
-            // serialized) and 32-bit. A wider payload would be
-            // silently truncated by get().
-            if (payload == 0 || payload > 0xffffffffull)
-                return false;
-            node->slots[idx] = payload;
-            ++node->liveSlots;
-        }
-    }
-    return true;
-}
-
-bool
-AliasTable::restoreState(const json::Value &v)
-{
-    if (!v.isObject())
-        return false;
-    const json::Value *tree = v.find("tree");
-    const json::Value *pages = v.find("pages");
-    if (!tree || !pages || !pages->isArray())
-        return false;
     clear();
-    if (!restoreNode(root, *tree, 0)) {
-        // Free the partially restored tree: every allocated node is
-        // still reachable (duplicate indices are rejected before
-        // overwriting), so clear() reclaims them all and the table
-        // stays usable.
+    bool ok = json::decodePairs<uint64_t, uint32_t>(
+        v,
+        [this](uint64_t word, uint32_t pid, std::string *why) {
+            if (word >> (BitsPerLevel * Levels))
+                return json::reject(why, "[0] is past VA bit 47");
+            if (pid == 0)
+                return json::reject(why, "[1] is PID 0");
+            set(word << 3, pid);
+            return true;
+        },
+        why);
+    if (!ok)
         clear();
-        return false;
-    }
-    for (const json::Value &pair : pages->items()) {
-        if (!pair.isArray() || pair.size() != 2 ||
-            !pair.at(size_t(0)).isNumber() ||
-            !pair.at(size_t(1)).isNumber()) {
-            clear();
-            return false;
-        }
-        aliasPages.setCount(
-            pair.at(size_t(0)).asUint64(),
-            static_cast<uint32_t>(pair.at(size_t(1)).asUint64()));
-    }
-    _liveEntries = json::getUint(v, "liveEntries", 0);
-    lastLookupWord = ~0ull;
-    return true;
+    return ok;
 }
 
 } // namespace chex

@@ -26,7 +26,7 @@
 #include <memory>
 #include <vector>
 
-#include "base/json.hh"
+#include "base/fields.hh"
 
 namespace chex
 {
@@ -296,18 +296,15 @@ class AliasTable
     /** Remove every entry; nodes are retained in the pool. */
     void clear();
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
-     * Serializes the radix tree in the original structural format.
-     * Since reclamation made the structure a pure function of the
-     * live entries, the document no longer carries information a
-     * live-entry rebuild would lose — the format is kept for
-     * byte-compatibility with existing fixtures. Restore is strict:
-     * it rejects malformed documents (duplicate slot indices, leaf
-     * payloads that don't fit a PID, and the dead subtrees — nodes
-     * without live slots — that only pre-reclamation writers
-     * emitted) without leaking nodes. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
+     * The live entries as [word, pid] pairs in ascending word order
+     * (word = VA[47:3]). Reclamation makes the tree — and the page
+     * counts behind pageHostsAliases() — a pure function of the live
+     * entries, so decoding rebuilds both through set(). Decoding
+     * rejects a repeated or out-of-order word, a word past VA bit
+     * 47, and PID 0, leaving the table cleared but usable. */
+    json::Value encode() const;
+    bool decode(const json::Value &v, std::string *why);
     /** @} */
 
     static constexpr unsigned Levels = 5;
@@ -348,7 +345,8 @@ class AliasTable
     Node *allocNode();
     void releaseNode(Node *node);
     void freeSubtree(Node *node, unsigned level);
-    bool restoreNode(Node *node, const json::Value &v, unsigned level);
+    void encodeEntries(const Node *node, unsigned level, uint64_t word,
+                       json::Value &out) const;
 };
 
 } // namespace chex

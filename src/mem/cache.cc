@@ -131,61 +131,6 @@ SetAssocCache::occupancy() const
     return n;
 }
 
-json::Value
-SetAssocCache::saveState() const
-{
-    json::Value valid = json::Value::array();
-    for (size_t i = 0; i < entries.size(); ++i) {
-        const Entry &e = entries[i];
-        if (!e.valid)
-            continue;
-        valid.push(json::Value::object()
-                       .set("slot", static_cast<uint64_t>(i))
-                       .set("key", e.key)
-                       .set("lastUse", e.lastUse));
-    }
-    return json::Value::object()
-        .set("sets", _numSets)
-        .set("ways", _ways)
-        .set("useCounter", useCounter)
-        .set("entries", std::move(valid))
-        .set("hits", _hits.count())
-        .set("misses", _misses.count())
-        .set("evictions", _evictions.count())
-        .set("invalidations", _invalidations.count());
-}
-
-bool
-SetAssocCache::restoreState(const json::Value &v)
-{
-    if (!v.isObject())
-        return false;
-    if (json::getUint(v, "sets", 0) != _numSets ||
-        json::getUint(v, "ways", 0) != _ways) {
-        return false;
-    }
-    const json::Value *list = v.find("entries");
-    if (!list || !list->isArray())
-        return false;
-    for (auto &e : entries)
-        e = Entry{};
-    for (const json::Value &je : list->items()) {
-        uint64_t slot = json::getUint(je, "slot", UINT64_MAX);
-        if (slot >= entries.size())
-            return false;
-        Entry &e = entries[slot];
-        e.key = json::getUint(je, "key", 0);
-        e.lastUse = json::getUint(je, "lastUse", 0);
-        e.valid = true;
-    }
-    useCounter = json::getUint(v, "useCounter", 0);
-    _hits = json::getUint(v, "hits", 0);
-    _misses = json::getUint(v, "misses", 0);
-    _evictions = json::getUint(v, "evictions", 0);
-    _invalidations = json::getUint(v, "invalidations", 0);
-    return true;
-}
-
 VictimAugmentedCache::VictimAugmentedCache(const std::string &name,
                                            unsigned num_sets,
                                            unsigned ways,
@@ -236,32 +181,6 @@ VictimAugmentedCache::clear()
 {
     _main.clear();
     _victim.clear();
-}
-
-json::Value
-VictimAugmentedCache::saveState() const
-{
-    return json::Value::object()
-        .set("main", _main.saveState())
-        .set("victim", _victim.saveState())
-        .set("hits", _hits)
-        .set("misses", _misses)
-        .set("victimHits", _victimHits);
-}
-
-bool
-VictimAugmentedCache::restoreState(const json::Value &v)
-{
-    if (!v.isObject())
-        return false;
-    const json::Value *m = v.find("main");
-    const json::Value *vi = v.find("victim");
-    if (!m || !vi || !_main.restoreState(*m) || !_victim.restoreState(*vi))
-        return false;
-    _hits = json::getUint(v, "hits", 0);
-    _misses = json::getUint(v, "misses", 0);
-    _victimHits = json::getUint(v, "victimHits", 0);
-    return true;
 }
 
 } // namespace chex

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "base/json.hh"
+#include "base/fields.hh"
 #include "base/stats.hh"
 
 namespace chex
@@ -77,13 +77,27 @@ class SetAssocCache
 
     stats::StatGroup &statGroup() { return _stats; }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
      * Valid entries only, each with its flat array index — insert()
      * prefers the first invalid slot in way order, so which slots
      * are valid (not just which keys are resident) is timing state.
-     * Restore rejects a geometry mismatch. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+     * Decoding rejects a geometry mismatch. */
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
+    {
+        f("sets", json::Pinned{s._numSets});
+        f("ways", json::Pinned{s._ways});
+        f("useCounter", s.useCounter);
+        f("entries", json::ValidSlots{s.entries, [](auto &e, auto &g) {
+                                          g("key", e.key);
+                                          g("lastUse", e.lastUse);
+                                      }});
+        f("hits", s._hits);
+        f("misses", s._misses);
+        f("evictions", s._evictions);
+        f("invalidations", s._invalidations);
+    }
     /** @} */
 
   private:
@@ -149,9 +163,17 @@ class VictimAugmentedCache
     SetAssocCache &main() { return _main; }
     SetAssocCache &victim() { return _victim; }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh) */
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
+    {
+        f("main", s._main);
+        f("victim", s._victim);
+        f("hits", s._hits);
+        f("misses", s._misses);
+        f("victimHits", s._victimHits);
+    }
     /** @} */
 
   private:

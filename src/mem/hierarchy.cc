@@ -56,34 +56,6 @@ MemoryHierarchy::fetchAccess(uint64_t addr)
     return cfg.l1Latency + cfg.l2Latency + cfg.dramLatency;
 }
 
-json::Value
-MemoryHierarchy::saveState() const
-{
-    return json::Value::object()
-        .set("l1i", _l1i.saveState())
-        .set("l1d", _l1d.saveState())
-        .set("l2", _l2.saveState())
-        .set("bytesRead", meter.bytesRead)
-        .set("bytesWritten", meter.bytesWritten);
-}
-
-bool
-MemoryHierarchy::restoreState(const json::Value &v)
-{
-    if (!v.isObject())
-        return false;
-    const json::Value *i = v.find("l1i");
-    const json::Value *d = v.find("l1d");
-    const json::Value *l2 = v.find("l2");
-    if (!i || !d || !l2 || !_l1i.restoreState(*i) ||
-        !_l1d.restoreState(*d) || !_l2.restoreState(*l2)) {
-        return false;
-    }
-    meter.bytesRead = json::getUint(v, "bytesRead", 0);
-    meter.bytesWritten = json::getUint(v, "bytesWritten", 0);
-    return true;
-}
-
 unsigned
 MemoryHierarchy::shadowAccess(uint64_t addr)
 {

@@ -70,9 +70,17 @@ class MemoryHierarchy
 
     const HierarchyConfig &config() const { return cfg; }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh) */
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
+    {
+        f("l1i", s._l1i);
+        f("l1d", s._l1d);
+        f("l2", s._l2);
+        f("bytesRead", s.meter.bytesRead);
+        f("bytesWritten", s.meter.bytesWritten);
+    }
     /** @} */
 
   private:

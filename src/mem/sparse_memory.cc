@@ -104,8 +104,24 @@ SparseMemory::writeBlock(uint64_t addr, const void *buf, uint64_t len)
     }
 }
 
+namespace
+{
+
+/** One resident page's snapshot record: its number and bytes. */
+template <typename N, typename P>
+auto
+pageRecord(N &num, P &page)
+{
+    return [&](auto &f) {
+        f("page", num);
+        f("data", Base64Bytes{page});
+    };
+}
+
+} // namespace
+
 json::Value
-SparseMemory::saveState() const
+SparseMemory::encode() const
 {
     std::vector<uint64_t> nums;
     nums.reserve(pages.size());
@@ -114,39 +130,25 @@ SparseMemory::saveState() const
     std::sort(nums.begin(), nums.end());
 
     json::Value out = json::Value::array();
-    for (uint64_t num : nums) {
-        const Page &page = *pages.at(num);
-        out.push(json::Value::object()
-                     .set("page", num)
-                     .set("data", base64Encode(page.data(), PageBytes)));
-    }
+    for (uint64_t num : nums)
+        out.push(json::encodeObject(pageRecord(num, *pages.at(num))));
     return out;
 }
 
 bool
-SparseMemory::restoreState(const json::Value &v)
+SparseMemory::decode(const json::Value &v, std::string *why)
 {
-    if (!v.isArray())
-        return false;
-    pages.clear();
-    lastPageNum = NoPage;
-    lastPage = nullptr;
-    std::vector<uint8_t> bytes;
-    for (const json::Value &e : v.items()) {
-        if (!e.isObject())
-            return false;
-        const json::Value *data = e.find("data");
-        if (!data || !data->isString() ||
-            !base64Decode(data->str(), bytes) ||
-            bytes.size() != PageBytes) {
-            return false;
-        }
-        uint64_t num = json::getUint(e, "page", 0);
-        auto &slot = pages[num];
-        slot = std::make_unique<Page>();
-        std::memcpy(slot->data(), bytes.data(), PageBytes);
-    }
-    return true;
+    clear();
+    return json::decodeAscending<uint64_t>(
+        v,
+        [this](const json::Value &item, uint64_t &num, std::string *why) {
+            auto page = std::make_unique<Page>();
+            if (!json::decodeObject(item, pageRecord(num, *page), why))
+                return false;
+            pages[num] = std::move(page);
+            return true;
+        },
+        why);
 }
 
 void

@@ -13,7 +13,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "base/json.hh"
+#include "base/fields.hh"
 
 namespace chex
 {
@@ -58,11 +58,12 @@ class SparseMemory
         lastPage = nullptr;
     }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
-     * Every resident page, sorted by page number for deterministic
-     * output, with contents as base64. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
+     * Every resident page as {"page": number, "data": base64}, in
+     * ascending page order; decoding rejects a repeated or
+     * out-of-order page and data that is not one page long. */
+    json::Value encode() const;
+    bool decode(const json::Value &v, std::string *why);
     /** @} */
 
   private:
@@ -79,7 +80,7 @@ class SparseMemory
     // turns the common-case hash lookup into a compare. Positive
     // entries only — Page objects are heap-allocated, so the pointer
     // stays valid across map rehashes; entries are only dropped by
-    // clear()/restoreState(), which reset the memo.
+    // clear()/decode(), which reset the memo.
     static constexpr uint64_t NoPage = ~0ull;
     mutable uint64_t lastPageNum = NoPage;
     mutable Page *lastPage = nullptr;

@@ -764,7 +764,7 @@ System::runMacros(uint64_t n)
 namespace
 {
 
-constexpr const char *SnapshotFormatV1 = "chex-snapshot-v1";
+constexpr const char *SnapshotFormat = "chex-snapshot-v2";
 
 std::string
 hashHex(uint64_t h)
@@ -775,21 +775,120 @@ hashHex(uint64_t h)
     return buf;
 }
 
-bool
-parseHashHex(const std::string &s, uint64_t *out)
+/** The Figure-3 interval PID set as an ascending list. */
+template <typename T>
+struct PidSet
 {
-    if (s.size() != 16)
-        return false;
-    for (char c : s) {
-        bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        if (!hex)
-            return false;
+    T &pids;
+
+    json::Value
+    encode() const
+    {
+        std::vector<Pid> sorted(pids.begin(), pids.end());
+        std::sort(sorted.begin(), sorted.end());
+        return json::encode(sorted);
     }
-    *out = std::strtoull(s.c_str(), nullptr, 16);
-    return true;
-}
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        pids.clear();
+        return json::decodeAscending<Pid>(
+            v,
+            [this](const json::Value &item, Pid &pid, std::string *why) {
+                if (!json::decode(item, pid, why))
+                    return false;
+                pids.insert(pid);
+                return true;
+            },
+            why);
+    }
+};
+
+/** A bit vector as the ascending indices of its set bits; reading
+ * keeps its length and rejects an index past it. */
+template <typename T>
+struct SetBits
+{
+    T &bits;
+
+    json::Value
+    encode() const
+    {
+        json::Value out = json::Value::array();
+        for (uint64_t i = 0; i < bits.size(); ++i)
+            if (bits[i])
+                out.push(i);
+        return out;
+    }
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        bits.assign(bits.size(), false);
+        return json::decodeAscending<uint64_t>(
+            v,
+            [this](const json::Value &item, uint64_t &i,
+                   std::string *why) {
+                if (!json::decode(item, i, why))
+                    return false;
+                if (i >= bits.size())
+                    return json::reject(why, " is past the program");
+                bits[i] = true;
+                return true;
+            },
+            why);
+    }
+};
 
 } // anonymous namespace
+
+template <typename S, typename F>
+void
+System::snapshotFields(S &s, F &&f)
+{
+    f("format", json::Pinned{std::string(SnapshotFormat)});
+    f("configHash",
+      json::Pinned{hashHex(configHash(s.cfg)),
+                   " does not match: configuration mismatch, the "
+                   "snapshot was taken under a different SystemConfig"});
+    f("programHash",
+      json::Pinned{hashHex(programHash(s.prog)),
+                   " does not match: program mismatch, the snapshot "
+                   "was taken of a different program"});
+    f("machine", json::Group{[&](auto &m) {
+          m("seq", s.seq);
+          m("macroCount", s.macroCount);
+          m("pc", s.pc);
+          m("pending", s.pending);
+          m("intervalPids", PidSet{s.intervalPids});
+          m("intervalMacros", s.intervalMacros);
+          m("intervalSamples", s.intervalSamples);
+          m("intervalPidSum", s.intervalPidSum);
+          m("btTranslated", SetBits{s.btTranslated});
+          // Result fields the run loop mutates in flight; everything
+          // else in RunResult is derived by collectResult() at the end.
+          m("result", json::Group{[&](auto &r) {
+                r("violationDetected", s.result.violationDetected);
+                r("violations", s.result.violations);
+                r("injectedUops", s.result.injectedUops);
+                r("capChecksInjected", s.result.capChecksInjected);
+                r("zeroIdiomChecks", s.result.zeroIdiomChecks);
+                r("pna0ZeroIdioms", s.result.pna0ZeroIdioms);
+                r("p0anFlushes", s.result.p0anFlushes);
+                r("pmanForwards", s.result.pmanForwards);
+            }});
+          m("ms", s.ms);
+          m("mem", s.mem);
+          m("hier", s.hier);
+          m("core", *s.corePtr);
+          m("heap", s.heapAlloc);
+          m("capTable", s.capTable);
+          m("capCache", s.capCache);
+          m("aliases", s.aliases);
+          m("tracker", *s.trackerPtr);
+      }});
+}
 
 json::Value
 System::saveSnapshot(std::string *err) const
@@ -805,74 +904,8 @@ System::saveSnapshot(std::string *err) const
         return fail("no program loaded");
     if (!pausedFlag)
         return fail("system is not paused mid-run");
-
-    json::Value m = json::Value::object();
-    m.set("seq", seq);
-    m.set("macroCount", macroCount);
-    m.set("pc", pc);
-
-    json::Value jpend = json::Value::array();
-    for (const auto &p : pending) {
-        jpend.push(
-            json::Value::object()
-                .set("kind", static_cast<uint64_t>(p.kind))
-                .set("genPid", static_cast<uint64_t>(p.genPid))
-                .set("freePid", static_cast<uint64_t>(p.freePid)));
-    }
-    m.set("pending", std::move(jpend));
-
-    std::vector<Pid> pids(intervalPids.begin(), intervalPids.end());
-    std::sort(pids.begin(), pids.end());
-    json::Value jpids = json::Value::array();
-    for (Pid p : pids)
-        jpids.push(static_cast<uint64_t>(p));
-    m.set("intervalPids", std::move(jpids));
-    m.set("intervalMacros", intervalMacros);
-    m.set("intervalSamples", intervalSamples);
-    m.set("intervalPidSum", intervalPidSum);
-
-    json::Value jbt = json::Value::array();
-    for (size_t i = 0; i < btTranslated.size(); ++i)
-        if (btTranslated[i])
-            jbt.push(static_cast<uint64_t>(i));
-    m.set("btTranslated", std::move(jbt));
-
-    // Result fields the run loop mutates in flight; everything else
-    // in RunResult is derived by collectResult() at the end.
-    json::Value jres = json::Value::object();
-    jres.set("violationDetected", result.violationDetected);
-    json::Value jviol = json::Value::array();
-    for (const auto &vr : result.violations) {
-        jviol.push(json::Value::object()
-                       .set("kind", static_cast<uint64_t>(vr.kind))
-                       .set("pc", vr.pc)
-                       .set("addr", vr.addr)
-                       .set("pid", static_cast<uint64_t>(vr.pid)));
-    }
-    jres.set("violations", std::move(jviol));
-    jres.set("injectedUops", result.injectedUops);
-    jres.set("capChecksInjected", result.capChecksInjected);
-    jres.set("zeroIdiomChecks", result.zeroIdiomChecks);
-    jres.set("pna0ZeroIdioms", result.pna0ZeroIdioms);
-    jres.set("p0anFlushes", result.p0anFlushes);
-    jres.set("pmanForwards", result.pmanForwards);
-    m.set("result", std::move(jres));
-
-    m.set("ms", ms.saveState());
-    m.set("mem", mem.saveState());
-    m.set("hier", hier.saveState());
-    m.set("core", corePtr->saveState());
-    m.set("heap", heapAlloc.saveState());
-    m.set("capTable", capTable.saveState());
-    m.set("capCache", capCache.saveState());
-    m.set("aliases", aliases.saveState());
-    m.set("tracker", trackerPtr->saveState());
-
-    return json::Value::object()
-        .set("format", SnapshotFormatV1)
-        .set("configHash", hashHex(configHash(cfg)))
-        .set("programHash", hashHex(programHash(prog)))
-        .set("machine", std::move(m));
+    return json::encodeObject(
+        [this](auto &f) { snapshotFields(*this, f); });
 }
 
 bool
@@ -887,150 +920,13 @@ System::restoreSnapshot(const json::Value &v, std::string *err)
         return fail("checker-enabled configs are not snapshottable");
     if (prog.code.empty())
         return fail("no program loaded");
-    if (!v.isObject())
-        return fail("snapshot is not a JSON object");
-    if (json::getString(v, "format", "") != SnapshotFormatV1) {
-        return fail("unrecognized snapshot format (want " +
-                    std::string(SnapshotFormatV1) + ")");
-    }
-    uint64_t want = 0;
-    if (!parseHashHex(json::getString(v, "configHash", ""), &want) ||
-        want != configHash(cfg)) {
-        return fail("configuration mismatch: snapshot was taken "
-                    "under a different SystemConfig");
-    }
-    if (!parseHashHex(json::getString(v, "programHash", ""), &want) ||
-        want != programHash(prog)) {
-        return fail("program mismatch: snapshot was taken of a "
-                    "different program");
-    }
-    const json::Value *jm = v.find("machine");
-    if (!jm || !jm->isObject())
-        return fail("missing machine section");
-    const json::Value &m = *jm;
-
-    // A failed component restore leaves the system unspecified;
-    // callers recover by constructing a fresh System.
-    std::vector<std::string> bad;
-    auto restore = [&m, &bad](const char *name, auto &&fn) {
-        const json::Value *s = m.find(name);
-        if (!s || !fn(*s))
-            bad.push_back(name);
-    };
-    restore("ms", [this](const json::Value &s) {
-        return ms.restoreState(s);
-    });
-    restore("mem", [this](const json::Value &s) {
-        return mem.restoreState(s);
-    });
-    restore("hier", [this](const json::Value &s) {
-        return hier.restoreState(s);
-    });
-    restore("core", [this](const json::Value &s) {
-        return corePtr->restoreState(s);
-    });
-    restore("heap", [this](const json::Value &s) {
-        return heapAlloc.restoreState(s);
-    });
-    restore("capTable", [this](const json::Value &s) {
-        return capTable.restoreState(s);
-    });
-    restore("capCache", [this](const json::Value &s) {
-        return capCache.restoreState(s);
-    });
-    restore("aliases", [this](const json::Value &s) {
-        return aliases.restoreState(s);
-    });
-    restore("tracker", [this](const json::Value &s) {
-        return trackerPtr->restoreState(s);
-    });
-
-    // Orchestrator run state.
-    seq = json::getUint(m, "seq", 0);
-    macroCount = json::getUint(m, "macroCount", 0);
-    pc = json::getUint(m, "pc", 0);
-
-    pending.clear();
-    const json::Value *jp = m.find("pending");
-    if (jp && jp->isArray()) {
-        for (const auto &e : jp->items()) {
-            PendingAlloc p;
-            p.kind = static_cast<IntrinsicKind>(
-                json::getUint(e, "kind", 0));
-            p.genPid =
-                static_cast<Pid>(json::getUint(e, "genPid", NoPid));
-            p.freePid =
-                static_cast<Pid>(json::getUint(e, "freePid", NoPid));
-            pending.push_back(p);
-        }
-    } else {
-        bad.push_back("pending");
-    }
-
-    intervalPids.clear();
-    const json::Value *jpids = m.find("intervalPids");
-    if (jpids && jpids->isArray()) {
-        for (const auto &e : jpids->items())
-            intervalPids.insert(static_cast<Pid>(e.asUint64()));
-    } else {
-        bad.push_back("intervalPids");
-    }
-    intervalMacros = json::getUint(m, "intervalMacros", 0);
-    intervalSamples = json::getUint(m, "intervalSamples", 0);
-    intervalPidSum = json::getDouble(m, "intervalPidSum", 0.0);
-
-    btTranslated.assign(prog.code.size(), false);
-    const json::Value *jbt = m.find("btTranslated");
-    if (jbt && jbt->isArray()) {
-        for (const auto &e : jbt->items()) {
-            uint64_t idx = e.asUint64();
-            if (idx < btTranslated.size())
-                btTranslated[idx] = true;
-            else
-                bad.push_back("btTranslated");
-        }
-    } else {
-        bad.push_back("btTranslated");
-    }
-
+    // A failed decode leaves the system unspecified; callers recover
+    // by constructing a fresh System.
     result = RunResult{};
-    const json::Value *jr = m.find("result");
-    if (jr && jr->isObject()) {
-        result.violationDetected =
-            json::getBool(*jr, "violationDetected", false);
-        const json::Value *jv = jr->find("violations");
-        if (jv && jv->isArray()) {
-            for (const auto &e : jv->items()) {
-                ViolationRecord vr;
-                vr.kind = static_cast<Violation>(
-                    json::getUint(e, "kind", 0));
-                vr.pc = json::getUint(e, "pc", 0);
-                vr.addr = json::getUint(e, "addr", 0);
-                vr.pid =
-                    static_cast<Pid>(json::getUint(e, "pid", NoPid));
-                result.violations.push_back(vr);
-            }
-        }
-        result.injectedUops = json::getUint(*jr, "injectedUops", 0);
-        result.capChecksInjected =
-            json::getUint(*jr, "capChecksInjected", 0);
-        result.zeroIdiomChecks =
-            json::getUint(*jr, "zeroIdiomChecks", 0);
-        result.pna0ZeroIdioms =
-            json::getUint(*jr, "pna0ZeroIdioms", 0);
-        result.p0anFlushes = json::getUint(*jr, "p0anFlushes", 0);
-        result.pmanForwards = json::getUint(*jr, "pmanForwards", 0);
-    } else {
-        bad.push_back("result");
-    }
-
-    if (!bad.empty()) {
-        std::string msg = "malformed snapshot section(s):";
-        for (const auto &b : bad)
-            msg += " " + b;
-        return fail(msg);
-    }
-
+    std::string why;
+    if (!json::decodeObject(
+            v, [this](auto &f) { snapshotFields(*this, f); }, &why))
+        return fail("snapshot: " + json::describe(why, "document"));
     running = true;
     pausedFlag = true;
     return true;

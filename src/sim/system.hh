@@ -23,6 +23,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "base/fields.hh"
 #include "base/json.hh"
 #include "base/stats.hh"
 
@@ -79,6 +80,18 @@ struct ViolationRecord
     uint64_t addr = 0;
     Pid pid = NoPid;
 };
+
+/** ViolationRecord's members (base/fields.hh), for campaign reports
+ * and snapshots alike. */
+template <json::Is<ViolationRecord> V, typename F>
+void
+fields(V &v, F &&f)
+{
+    f("kind", json::Token{v.kind, violationName});
+    f("pc", v.pc);
+    f("addr", v.addr);
+    f("pid", v.pid);
+}
 
 /** Aggregated results of one run. */
 struct RunResult
@@ -173,7 +186,7 @@ class System
     bool paused() const { return pausedFlag; }
 
     /**
-     * @{ @name Checkpoint/restore (chex-snapshot-v1)
+     * @{ @name Checkpoint/restore (chex-snapshot-v2)
      *
      * saveSnapshot() serializes the complete machine state of a
      * *paused* run — architectural state, sparse memory, cache
@@ -183,11 +196,15 @@ class System
      * document pinned to this System's configuration (configHash) and
      * loaded program (programHash).
      *
-     * restoreSnapshot() is strict: it rejects (returning false and
-     * naming the reason in @p err) a wrong format tag, a config or
-     * program mismatch, and any malformed or geometry-incompatible
-     * section. On success the system is paused at the recorded
-     * point; run()/runMacros() continue from it bit-identically.
+     * restoreSnapshot() is strict (the base/fields.hh reader): it
+     * rejects, returning false and naming the path of the first bad
+     * member in @p err ("snapshot: machine.core.regReady[28] is not
+     * an unsigned integer in range"), a wrong format tag, a config or
+     * program mismatch, and any missing, mistyped, out-of-range,
+     * non-canonical or geometry-incompatible member. On success the
+     * system is paused at the recorded point; run()/runMacros()
+     * continue from it bit-identically. On failure its state is
+     * unspecified: restore into a freshly built System.
      *
      * Runs with cfg.enableChecker are not snapshottable: the checker
      * mutates its rule database in ways the snapshot does not carry.
@@ -229,6 +246,19 @@ class System
         Pid genPid = NoPid;   // capability being generated
         Pid freePid = NoPid;  // capability being freed (free/realloc)
     };
+
+    template <json::Is<PendingAlloc> P, typename F>
+    friend void
+    fields(P &p, F &&f)
+    {
+        f("kind", json::Token{p.kind, intrinsicName});
+        f("genPid", p.genPid);
+        f("freePid", p.freePid);
+    }
+
+    /** The snapshot document's members (saveSnapshot()). */
+    template <typename S, typename F>
+    static void snapshotFields(S &s, F &&f);
 
     /** Build the stat tree and hand it to @p visit (dump helpers). */
     void visitStats(const std::function<void(stats::StatGroup &)> &visit);

@@ -1,5 +1,6 @@
 #include "snapshot.hh"
 
+#include "base/fields.hh"
 #include "snapshot/codec.hh"
 #include "workload/generator.hh"
 
@@ -59,81 +60,62 @@ restoreEntry(const MachineEntry &entry, const BenchmarkProfile &profile,
     return sys->restoreSnapshot(entry.state, err);
 }
 
+// Field lists (base/fields.hh): every bundle member is named here.
+
+template <json::Is<MachineEntry> E, typename F>
+void
+fields(E &e, F &&f)
+{
+    f("profile", e.profileName);
+    f("variant", e.variant);
+    f("seed", e.seed);
+    f("specKey", json::Hex64{e.specKey});
+    f("warmupMacros", e.warmupMacros);
+    f("stateHash", json::Hex64{e.stateHash});
+    f("state", e.state);
+}
+
+template <json::Is<Bundle> B, typename F>
+void
+fields(B &b, F &&f)
+{
+    f("format", json::Pinned{std::string(BundleFormatTag)});
+    f("campaignSeed", b.campaignSeed);
+    f("warmupMacros", b.warmupMacros);
+    f("entries", b.entries);
+}
+
 json::Value
 toJson(const Bundle &bundle)
 {
-    json::Value jentries = json::Value::array();
-    for (const MachineEntry &e : bundle.entries) {
-        jentries.push(json::Value::object()
-                          .set("profile", e.profileName)
-                          .set("variant", e.variant)
-                          .set("seed", e.seed)
-                          .set("specKey", stateHashHex(e.specKey))
-                          .set("warmupMacros", e.warmupMacros)
-                          .set("stateHash", stateHashHex(e.stateHash))
-                          .set("state", e.state));
-    }
-    return json::Value::object()
-        .set("format", BundleFormatTag)
-        .set("campaignSeed", bundle.campaignSeed)
-        .set("warmupMacros", bundle.warmupMacros)
-        .set("entries", std::move(jentries));
+    return json::encode(bundle);
 }
 
 bool
 fromJson(const json::Value &v, Bundle *out, std::string *err)
 {
-    auto fail = [err](const std::string &why) {
-        if (err)
-            *err = why;
-        return false;
-    };
-    if (!v.isObject())
-        return fail("snapshot bundle is not a JSON object");
-    if (json::getString(v, "format", "") != BundleFormatTag) {
-        return fail("unrecognized snapshot bundle format (want " +
-                    std::string(BundleFormatTag) + ")");
-    }
-    const json::Value *jentries = v.find("entries");
-    if (!jentries || !jentries->isArray())
-        return fail("snapshot bundle has no entries array");
-
     Bundle b;
-    b.campaignSeed = json::getUint(v, "campaignSeed", 0);
-    b.warmupMacros = json::getUint(v, "warmupMacros", 0);
-    for (size_t i = 0; i < jentries->size(); ++i) {
-        const json::Value &je = jentries->at(i);
-        if (!je.isObject())
-            return fail("snapshot bundle entry is not an object");
-        MachineEntry e;
-        e.profileName = json::getString(je, "profile", "");
-        e.variant = json::getString(je, "variant", "");
-        e.seed = json::getUint(je, "seed", 0);
-        e.warmupMacros = json::getUint(je, "warmupMacros", 0);
-        if (!stateHashFromHex(json::getString(je, "specKey", ""),
-                              &e.specKey) ||
-            !stateHashFromHex(json::getString(je, "stateHash", ""),
-                              &e.stateHash)) {
-            return fail("snapshot bundle entry '" + e.profileName +
-                        "/" + e.variant + "' has a malformed key hash");
-        }
-        const json::Value *jstate = je.find("state");
-        if (!jstate)
-            return fail("snapshot bundle entry '" + e.profileName +
-                        "/" + e.variant + "' has no state");
-        e.state = *jstate;
-        // Verify the recorded state digest against the bytes we just
-        // parsed: bundles are large files that get copied between
-        // machines, and a silently truncated or edited state must
-        // not restore into a subtly different simulation.
+    std::string why;
+    if (!json::decode(v, b, &why)) {
+        if (err)
+            *err = "snapshot bundle: " + json::describe(why, "document");
+        return false;
+    }
+    // Verify each recorded state digest against the bytes just
+    // parsed: bundles are large files that get copied between
+    // machines, and a silently truncated or edited state must not
+    // restore into a subtly different simulation.
+    for (const MachineEntry &e : b.entries) {
         uint64_t got = jsonStateHash(e.state);
         if (got != e.stateHash) {
-            return fail("snapshot bundle entry '" + e.profileName +
-                        "/" + e.variant + "' is corrupt: state hash " +
-                        stateHashHex(got) + " != recorded " +
-                        stateHashHex(e.stateHash));
+            if (err) {
+                *err = "snapshot bundle entry '" + e.profileName + "/" +
+                       e.variant + "' is corrupt: state hash " +
+                       stateHashHex(got) + " != recorded " +
+                       stateHashHex(e.stateHash);
+            }
+            return false;
         }
-        b.entries.push_back(std::move(e));
     }
     *out = std::move(b);
     return true;

@@ -2,7 +2,7 @@
  * @file
  * The checkpoint/restore subsystem: warm a simulated System to a
  * chosen macro-op count, capture its complete machine state as a
- * `chex-snapshot-v1` document (System::saveSnapshot), and bundle one
+ * `chex-snapshot-v2` document (System::saveSnapshot), and bundle one
  * such machine entry per campaign job point into a self-describing
  * snapshot-bundle file.
  *
@@ -40,7 +40,7 @@ namespace snapshot
 {
 
 /** Bundle-file schema tag (the machine states inside carry their
- * own `chex-snapshot-v1` format tag). */
+ * own `chex-snapshot-v2` format tag). */
 constexpr const char *BundleFormatTag = "chex-snapshot-bundle-v1";
 
 /** One warmed machine state: a System paused mid-run. */
@@ -52,7 +52,7 @@ struct MachineEntry
     uint64_t specKey = 0;     // caller identity (driver spec hash)
     uint64_t warmupMacros = 0; // macro-ops executed before the pause
     uint64_t stateHash = 0;   // jsonStateHash(state)
-    json::Value state;        // chex-snapshot-v1 machine document
+    json::Value state;        // chex-snapshot-v2 machine document
 };
 
 /** A set of warmed machine states sharing one campaign identity. */
@@ -91,9 +91,12 @@ bool restoreEntry(const MachineEntry &entry,
                   std::string *err = nullptr);
 
 /** @{ @name Bundle (de)serialization
- * fromJson verifies the bundle format tag and every entry's
- * stateHash against its serialized state, so a truncated or edited
- * bundle fails loudly instead of restoring subtly wrong state. */
+ * One field list (base/fields.hh) per struct. fromJson is strict —
+ * every member required and typed, the first bad one named by path
+ * ("snapshot bundle: entries[2].seed is missing") — and verifies
+ * every entry's stateHash against its serialized state, so a
+ * truncated or edited bundle fails loudly instead of restoring
+ * subtly wrong state. */
 json::Value toJson(const Bundle &bundle);
 bool fromJson(const json::Value &v, Bundle *out,
               std::string *err = nullptr);

@@ -165,99 +165,74 @@ AliasPredictor::clear()
         o = 0;
 }
 
-json::Value
-AliasPredictor::saveState() const
+namespace
 {
-    json::Value jtable = json::Value::array();
-    for (size_t i = 0; i < table.size(); ++i) {
-        const Entry &e = table[i];
-        if (!e.valid)
-            continue;
-        jtable.push(json::Value::object()
-                        .set("slot", static_cast<uint64_t>(i))
-                        .set("tag", e.tag)
-                        .set("lastPid", e.lastPid)
-                        .set("stride", static_cast<uint64_t>(e.stride))
-                        .set("confidence", e.confidence));
+
+/**
+ * A saturating counter as a snapshot member: reading rejects a value
+ * past @p max, which the training logic can never reach.
+ */
+template <typename T>
+struct Saturating
+{
+    T &value;
+    uint8_t max;
+
+    json::Value encode() const { return json::encode(value); }
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        if (!json::decode(v, value, why))
+            return false;
+        return value <= max ||
+               json::reject(why, " is above " + std::to_string(max));
     }
-    json::Value jbl = json::Value::array();
-    for (size_t i = 0; i < blacklist.size(); ++i) {
-        const BlacklistEntry &e = blacklist[i];
-        if (!e.valid)
-            continue;
-        jbl.push(json::Value::object()
-                     .set("slot", static_cast<uint64_t>(i))
-                     .set("tag", e.tag)
-                     .set("confidence", e.confidence));
-    }
-    json::Value jout = json::Value::array();
-    for (uint64_t o : outcomes)
-        jout.push(o);
-    return json::Value::object()
-        .set("entries", cfg.entries)
-        .set("blacklistEntries", cfg.blacklistEntries)
-        .set("table", std::move(jtable))
-        .set("blacklist", std::move(jbl))
-        .set("numPredictions", numPredictions)
-        .set("numCorrect", numCorrect)
-        .set("outcomes", std::move(jout));
+};
+
+} // namespace
+
+template <typename S, typename F>
+void
+AliasPredictor::fields(S &s, F &&f)
+{
+    const uint8_t max = s.cfg.confidenceMax;
+    f("entries", json::Pinned{s.cfg.entries});
+    f("blacklistEntries", json::Pinned{s.cfg.blacklistEntries});
+    f("table", json::ValidSlots{s.table, [max](auto &e, auto &g) {
+                                    g("tag", e.tag);
+                                    g("lastPid", e.lastPid);
+                                    g("stride", e.stride);
+                                    g("confidence",
+                                      Saturating{e.confidence, max});
+                                }});
+    f("blacklist", json::ValidSlots{s.blacklist, [max](auto &e, auto &g) {
+                                        g("tag", e.tag);
+                                        g("confidence",
+                                          Saturating{e.confidence, max});
+                                    }});
+    f("numPredictions", s.numPredictions);
+    f("numCorrect", s.numCorrect);
+    f("outcomes", json::Group{[&](auto &g) {
+          for (unsigned i = 0; i < std::size(s.outcomes); ++i)
+              g(aliasOutcomeName(static_cast<AliasOutcome>(i)),
+                s.outcomes[i]);
+      }});
+}
+
+json::Value
+AliasPredictor::encode() const
+{
+    return json::encodeFields(*this);
 }
 
 bool
-AliasPredictor::restoreState(const json::Value &v)
+AliasPredictor::decode(const json::Value &v, std::string *why)
 {
-    if (!v.isObject())
-        return false;
-    if (json::getUint(v, "entries", 0) != cfg.entries ||
-        json::getUint(v, "blacklistEntries", 0) != cfg.blacklistEntries) {
-        return false;
-    }
-    const json::Value *jtable = v.find("table");
-    const json::Value *jbl = v.find("blacklist");
-    const json::Value *jout = v.find("outcomes");
-    if (!jtable || !jtable->isArray() || !jbl || !jbl->isArray() ||
-        !jout || !jout->isArray() || jout->size() != 5) {
-        return false;
-    }
-    clear();
-    for (const json::Value &je : jtable->items()) {
-        uint64_t slot = json::getUint(je, "slot", UINT64_MAX);
-        uint64_t confidence = json::getUint(je, "confidence", 0);
-        // A confidence past the saturating maximum or a slot already
-        // restored cannot have come from saveState(); accepting
-        // either would bake impossible predictor state (counters the
-        // training logic can never reach, last-writer-wins entries)
-        // into the restored machine.
-        if (slot >= table.size() || confidence > cfg.confidenceMax ||
-            table[slot].valid) {
-            clear();
-            return false;
-        }
-        Entry &e = table[slot];
-        e.tag = json::getUint(je, "tag", 0);
-        e.lastPid = static_cast<Pid>(json::getUint(je, "lastPid", 0));
-        e.stride = static_cast<int64_t>(json::getUint(je, "stride", 0));
-        e.confidence = static_cast<uint8_t>(confidence);
-        e.valid = true;
-    }
-    for (const json::Value &je : jbl->items()) {
-        uint64_t slot = json::getUint(je, "slot", UINT64_MAX);
-        uint64_t confidence = json::getUint(je, "confidence", 0);
-        if (slot >= blacklist.size() ||
-            confidence > cfg.confidenceMax || blacklist[slot].valid) {
-            clear();
-            return false;
-        }
-        BlacklistEntry &e = blacklist[slot];
-        e.tag = json::getUint(je, "tag", 0);
-        e.confidence = static_cast<uint8_t>(confidence);
-        e.valid = true;
-    }
-    numPredictions = json::getUint(v, "numPredictions", 0);
-    numCorrect = json::getUint(v, "numCorrect", 0);
-    for (size_t i = 0; i < 5; ++i)
-        outcomes[i] = jout->at(i).asUint64();
-    return true;
+    if (json::decodeFields(v, *this, why))
+        return true;
+    clear(); // a failed decode leaves a cleared, usable predictor
+    return false;
 }
 
 } // namespace chex

@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/json.hh"
+#include "base/fields.hh"
 #include "cap/capability.hh"
 
 namespace chex
@@ -95,12 +95,16 @@ class AliasPredictor
 
     const AliasPredictorConfig &config() const { return cfg; }
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
-     * Valid entries only, indexed; strides are emitted as their
-     * two's-complement bit pattern so negative strides round-trip
-     * exactly. Restore rejects a geometry mismatch. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
+     * Valid entries only, indexed; outcome counters keyed by
+     * aliasOutcomeName(). Decoding rejects a geometry mismatch and
+     * a confidence past the saturating maximum, leaving the
+     * predictor cleared. The field list is defined in
+     * alias_predictor.cc. */
+    template <typename S, typename F>
+    static void fields(S &s, F &&f);
+    json::Value encode() const;
+    bool decode(const json::Value &v, std::string *why);
     /** @} */
 
   private:

@@ -189,45 +189,4 @@ SpeculativePointerTracker::seedAlias(uint64_t addr, Pid pid)
     aliases.set(addr, pid);
 }
 
-json::Value
-SpeculativePointerTracker::saveState() const
-{
-    return json::Value::object()
-        .set("tags", tags.saveState())
-        .set("predictor", pred.saveState())
-        .set("aliasCache", cache.saveState())
-        .set("loads", statLoads.count())
-        .set("stores", statStores.count())
-        .set("taggedDerefs", statTaggedDerefs.count())
-        .set("spills", statSpills.count())
-        .set("reloads", statReloads.count())
-        .set("aliasKills", statAliasKills.count())
-        .set("pageFilterSkips", statPageFilterSkips.count())
-        .set("remoteInvalidations", statRemoteInvalidations.count());
-}
-
-bool
-SpeculativePointerTracker::restoreState(const json::Value &v)
-{
-    if (!v.isObject())
-        return false;
-    const json::Value *jt = v.find("tags");
-    const json::Value *jp = v.find("predictor");
-    const json::Value *jc = v.find("aliasCache");
-    if (!jt || !jp || !jc || !tags.restoreState(*jt) ||
-        !pred.restoreState(*jp) || !cache.restoreState(*jc)) {
-        return false;
-    }
-    statLoads = json::getUint(v, "loads", 0);
-    statStores = json::getUint(v, "stores", 0);
-    statTaggedDerefs = json::getUint(v, "taggedDerefs", 0);
-    statSpills = json::getUint(v, "spills", 0);
-    statReloads = json::getUint(v, "reloads", 0);
-    statAliasKills = json::getUint(v, "aliasKills", 0);
-    statPageFilterSkips = json::getUint(v, "pageFilterSkips", 0);
-    statRemoteInvalidations =
-        json::getUint(v, "remoteInvalidations", 0);
-    return true;
-}
-
 } // namespace chex

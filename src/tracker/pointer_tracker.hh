@@ -120,13 +120,27 @@ class SpeculativePointerTracker
     uint64_t loadsSeen() const { return statLoads.count(); }
     /** @} */
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1)
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
      * Covers the tag file, predictor, alias cache, and counters.
      * The rule database is config-derived (rebuilt by the System
      * constructor) and the shadow alias table is owned by the
      * System, which serializes it separately. */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    template <typename S, typename F>
+    static void
+    fields(S &s, F &&f)
+    {
+        f("tags", s.tags);
+        f("predictor", s.pred);
+        f("aliasCache", s.cache);
+        f("loads", s.statLoads);
+        f("stores", s.statStores);
+        f("taggedDerefs", s.statTaggedDerefs);
+        f("spills", s.statSpills);
+        f("reloads", s.statReloads);
+        f("aliasKills", s.statAliasKills);
+        f("pageFilterSkips", s.statPageFilterSkips);
+        f("remoteInvalidations", s.statRemoteInvalidations);
+    }
     /** @} */
 
   private:

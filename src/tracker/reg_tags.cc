@@ -86,53 +86,64 @@ RegTagFile::clear()
     nonEmpty = 0;
 }
 
-json::Value
-RegTagFile::saveState() const
+namespace
 {
-    json::Value out = json::Value::array();
-    for (const RegTag &t : tags) {
-        json::Value jt = json::Value::object();
-        jt.set("finalized", t.finalized);
-        json::Value jtr = json::Value::array();
-        for (const TransientTag &tt : t.transients) {
-            json::Value pair = json::Value::array();
-            pair.push(tt.seq);
-            pair.push(tt.pid);
-            jtr.push(std::move(pair));
-        }
-        jt.set("transients", std::move(jtr));
-        out.push(std::move(jt));
+
+/** A register's transient tags as [seq, pid] pairs in ascending
+ * sequence order (write() relies on the order). */
+template <typename V>
+struct Transients
+{
+    V &tags;
+
+    json::Value
+    encode() const
+    {
+        json::Value out = json::Value::array();
+        for (const auto &t : tags)
+            out.push(json::encode(std::pair(t.seq, t.pid)));
+        return out;
     }
-    return out;
+
+    bool
+    decode(const json::Value &v, std::string *why) const
+    {
+        tags.clear();
+        return json::decodePairs<uint64_t, Pid>(
+            v,
+            [this](uint64_t seq, Pid pid, std::string *) {
+                tags.push_back({seq, pid});
+                return true;
+            },
+            why);
+    }
+};
+
+/** One register's snapshot record. */
+auto regRecord = [](auto &t) {
+    return json::Group{[&t](auto &g) {
+        g("finalized", t.finalized);
+        g("transients", Transients{t.transients});
+    }};
+};
+
+} // namespace
+
+json::Value
+RegTagFile::encode() const
+{
+    return json::FixedLength{tags, regRecord}.encode();
 }
 
 bool
-RegTagFile::restoreState(const json::Value &v)
+RegTagFile::decode(const json::Value &v, std::string *why)
 {
-    if (!v.isArray() || v.size() != NumArchRegs)
+    if (!json::FixedLength{tags, regRecord}.decode(v, why))
         return false;
     nonEmpty = 0;
-    for (size_t r = 0; r < NumArchRegs; ++r) {
-        const json::Value &jt = v.at(r);
-        if (!jt.isObject())
-            return false;
-        const json::Value *jtr = jt.find("transients");
-        if (!jtr || !jtr->isArray())
-            return false;
-        RegTag &t = tags[r];
-        t.finalized =
-            static_cast<Pid>(json::getUint(jt, "finalized", NoPid));
-        t.transients.clear();
-        for (const json::Value &pair : jtr->items()) {
-            if (!pair.isArray() || pair.size() != 2)
-                return false;
-            t.transients.push_back(
-                {pair.at(size_t(0)).asUint64(),
-                 static_cast<Pid>(pair.at(size_t(1)).asUint64())});
-        }
-        if (!t.transients.empty())
+    for (size_t r = 0; r < NumArchRegs; ++r)
+        if (!tags[r].transients.empty())
             nonEmpty |= 1ull << r;
-    }
     return true;
 }
 

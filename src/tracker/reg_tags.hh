@@ -17,7 +17,7 @@
 #include <map>
 #include <vector>
 
-#include "base/json.hh"
+#include "base/fields.hh"
 #include "cap/capability.hh"
 #include "isa/regs.hh"
 
@@ -51,9 +51,12 @@ class RegTagFile
     /** Reset to all-zero tags. */
     void clear();
 
-    /** @{ @name Snapshot serialization (chex-snapshot-v1) */
-    json::Value saveState() const;
-    bool restoreState(const json::Value &v);
+    /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
+     * One {finalized, transients} object per register, transients
+     * as [seq, pid] pairs; decoding rejects transients not in
+     * ascending sequence order. */
+    json::Value encode() const;
+    bool decode(const json::Value &v, std::string *why);
     /** @} */
 
   private:

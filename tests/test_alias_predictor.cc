@@ -15,6 +15,15 @@ namespace chex
 namespace
 {
 
+/** decode() without the problem text. */
+template <typename T>
+bool
+restore(T &target, const json::Value &doc)
+{
+    std::string why;
+    return target.decode(doc, &why);
+}
+
 /** Run a PID sequence through one PC and return final accuracy. */
 double
 trainSequence(AliasPredictor &pred, uint64_t pc,
@@ -192,10 +201,10 @@ TEST(AliasPredictor, SaveRestoreRoundTrip)
         AliasPrediction p = pred.predict(0x400200);
         pred.update(0x400200, p, NoPid); // blacklist entry too
     }
-    json::Value doc = pred.saveState();
+    json::Value doc = pred.encode();
     AliasPredictor restored;
-    ASSERT_TRUE(restored.restoreState(doc));
-    EXPECT_EQ(restored.saveState().dump(0), doc.dump(0));
+    ASSERT_TRUE(restore(restored, doc));
+    EXPECT_EQ(restored.encode().dump(0), doc.dump(0));
     EXPECT_EQ(restored.predict(0x400100).pid, 9u);
     EXPECT_FALSE(restored.predict(0x400200).isReload);
 }
@@ -209,7 +218,7 @@ predictorDocWithConfidence(uint64_t confidence)
 {
     AliasPredictor pred;
     trainSequence(pred, 0x400100, std::vector<Pid>(32, 9));
-    json::Value doc = pred.saveState();
+    json::Value doc = pred.encode();
     const json::Value *table = doc.find("table");
     json::Value entry = table->at(size_t{0});
     entry.set("confidence", confidence);
@@ -221,15 +230,15 @@ predictorDocWithConfidence(uint64_t confidence)
 
 TEST(AliasPredictor, RestoreRejectsOverflowedConfidence)
 {
-    // Regression: restoreState accepted confidence counters past the
+    // Regression: restore accepted confidence counters past the
     // saturating maximum — state the training logic can never reach,
     // which the stride predictor would then take many extra
     // mispredictions to age out.
     AliasPredictorConfig cfg;
     AliasPredictor pred;
-    EXPECT_TRUE(pred.restoreState(
+    EXPECT_TRUE(restore(pred, 
         predictorDocWithConfidence(cfg.confidenceMax)));
-    EXPECT_FALSE(pred.restoreState(
+    EXPECT_FALSE(restore(pred, 
         predictorDocWithConfidence(cfg.confidenceMax + 1)));
     // The failed restore leaves a cleared, usable predictor.
     EXPECT_EQ(pred.predictions(), 0u);
@@ -242,14 +251,14 @@ TEST(AliasPredictor, RestoreRejectsDuplicateSlots)
     // last-writer-wins instead of being rejected as malformed.
     AliasPredictor pred;
     trainSequence(pred, 0x400100, std::vector<Pid>(32, 9));
-    json::Value doc = pred.saveState();
+    json::Value doc = pred.encode();
     const json::Value *table = doc.find("table");
     json::Value first = table->at(size_t{0});
     json::Value dup = json::Value::array();
     dup.push(first);
     dup.push(std::move(first));
     doc.set("table", std::move(dup));
-    EXPECT_FALSE(pred.restoreState(doc));
+    EXPECT_FALSE(restore(pred, doc));
 }
 
 TEST(AliasPredictor, RestoreRejectsBadBlacklistEntries)
@@ -260,7 +269,7 @@ TEST(AliasPredictor, RestoreRejectsBadBlacklistEntries)
         AliasPrediction p = pred.predict(0x400200);
         pred.update(0x400200, p, NoPid);
     }
-    json::Value good = pred.saveState();
+    json::Value good = pred.encode();
 
     json::Value overflowed = good;
     const json::Value *bl = overflowed.find("blacklist");
@@ -269,7 +278,7 @@ TEST(AliasPredictor, RestoreRejectsBadBlacklistEntries)
     json::Value one = json::Value::array();
     one.push(std::move(entry));
     overflowed.set("blacklist", std::move(one));
-    EXPECT_FALSE(pred.restoreState(overflowed));
+    EXPECT_FALSE(restore(pred, overflowed));
 
     json::Value duplicated = good;
     bl = duplicated.find("blacklist");
@@ -278,9 +287,9 @@ TEST(AliasPredictor, RestoreRejectsBadBlacklistEntries)
     two.push(first);
     two.push(std::move(first));
     duplicated.set("blacklist", std::move(two));
-    EXPECT_FALSE(pred.restoreState(duplicated));
+    EXPECT_FALSE(restore(pred, duplicated));
 
-    EXPECT_TRUE(pred.restoreState(good));
+    EXPECT_TRUE(restore(pred, good));
 }
 
 } // namespace

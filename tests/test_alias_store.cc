@@ -7,12 +7,11 @@
  * operations — set/get/walk/page-filter/clear — asserting identical
  * results at every step, exact node-count accounting (storageBytes
  * must equal the oracle-derived distinct-prefix count through
- * arbitrary reclamation), and byte-identical chex-snapshot-v1
+ * arbitrary reclamation), and byte-identical chex-snapshot-v2
  * documents at checkpoints, including a mid-stream save/restore.
  * Also pins pooled-node recycling, the fill-then-clear reclamation
- * floor, restoration of pre-reclamation fixtures carrying dead
- * subtrees, the restore-validation bug tail (duplicate slot
- * indices, non-PID leaf payloads), the AliasPageCounts
+ * floor, the restore-validation bug tail (repeated or unsorted
+ * words, non-PID payloads), the AliasPageCounts
  * tombstone-purge/shrink policy and its setCount(page, 0) fix, and
  * the clearAliasRange end-of-address-space overflow fix.
  */
@@ -36,6 +35,15 @@ namespace chex
 {
 namespace
 {
+
+/** decode() without the problem text. */
+template <typename T>
+bool
+restore(T &target, const json::Value &doc)
+{
+    std::string why;
+    return target.decode(doc, &why);
+}
 
 /** Word index VA[47:3], mirroring AliasTable::levelIndex. */
 uint64_t
@@ -164,15 +172,15 @@ TEST(AliasStore, RandomizedEquivalenceVsMapModel)
             // The serialized document must equal the one a fresh
             // table rebuilt from the oracle produces: structure
             // carries no allocation-history residue anymore.
-            json::Value doc = table.saveState();
+            json::Value doc = table.encode();
             AliasTable fresh;
             rebuildFromModel(model, fresh);
-            ASSERT_EQ(doc.dump(0), fresh.saveState().dump(0));
+            ASSERT_EQ(doc.dump(0), fresh.encode().dump(0));
 
             // Mid-stream restore round-trip.
             AliasTable restored;
-            ASSERT_TRUE(restored.restoreState(doc));
-            ASSERT_EQ(restored.saveState().dump(0), doc.dump(0));
+            ASSERT_TRUE(restore(restored, doc));
+            ASSERT_EQ(restored.encode().dump(0), doc.dump(0));
             ASSERT_EQ(restored.storageBytes(), table.storageBytes());
         }
     }
@@ -270,10 +278,10 @@ TEST(AliasStore, SnapshotRoundTripAfterChurnThenReclaim)
         if (i % 4 != 0)
             table.set(words[i], 0);
 
-    json::Value doc = table.saveState();
+    json::Value doc = table.encode();
     AliasTable restored;
-    ASSERT_TRUE(restored.restoreState(doc));
-    EXPECT_EQ(restored.saveState().dump(0), doc.dump(0));
+    ASSERT_TRUE(restore(restored, doc));
+    EXPECT_EQ(restored.encode().dump(0), doc.dump(0));
     EXPECT_EQ(restored.liveEntries(), table.liveEntries());
     EXPECT_EQ(restored.storageBytes(), table.storageBytes());
     for (size_t i = 0; i < words.size(); i += 97) {
@@ -283,113 +291,75 @@ TEST(AliasStore, SnapshotRoundTripAfterChurnThenReclaim)
     }
 }
 
-TEST(AliasStore, PreReclamationFixtureIsRejected)
+/** Parse @p text, restore it into a table holding one entry, and
+ * expect a rejection that leaves the table empty and usable. */
+void
+expectRejected(const char *text)
 {
-    // chex-snapshot-v1 alias documents as the pre-reclamation code
-    // serialized them: set(addr, 0) never freed nodes, so the tree
-    // carried dead subtrees next to the one live path — an emptied
-    // leaf ([5, []]) or an emptied two-level chain ([6, [[7, []]]]).
-    // The writer no longer emits either, so restore rejects both
-    // instead of pruning them, and leaves a usable, empty table.
-    const char *live = "[0, [[1, [[2, [[3, [[4, 42]]]]]]]]]";
-    for (const char *dead : {"[5, []]", "[6, [[7, []]]]"}) {
-        SCOPED_TRACE(dead);
-        std::string text = std::string(R"({"tree": [)") + live + ", " +
-                           dead +
-                           R"(], "pages": [[263171, 1]], "liveEntries": 1})";
-        json::Value doc;
-        std::string err;
-        ASSERT_TRUE(json::Value::parse(text, doc, &err)) << err;
-
-        AliasTable table;
-        EXPECT_FALSE(table.restoreState(doc));
-        EXPECT_EQ(table.liveEntries(), 0u);
-        EXPECT_EQ(table.storageBytes(),
-                  uint64_t{AliasTable::NodeBytes});
-        table.set(0x9000, 4);
-        EXPECT_EQ(table.get(0x9000), 4u);
-    }
-
-    // The same document without the dead subtree restores.
+    SCOPED_TRACE(text);
     json::Value doc;
     std::string err;
-    ASSERT_TRUE(json::Value::parse(
-        std::string(R"({"tree": [)") + live +
-            R"(], "pages": [[263171, 1]], "liveEntries": 1})",
-        doc, &err))
+    ASSERT_TRUE(json::Value::parse(text, doc, &err)) << err;
+    AliasTable table;
+    table.set(0x8000, 9);
+    EXPECT_FALSE(restore(table, doc));
+    // No leak, no poisoned state: the table is empty and fully
+    // usable, and clear() (inside decode and here) is safe.
+    EXPECT_EQ(table.liveEntries(), 0u);
+    EXPECT_FALSE(table.pageHostsAliases(0x8000));
+    EXPECT_EQ(table.storageBytes(), uint64_t{AliasTable::NodeBytes});
+    table.set(0x9000, 4);
+    EXPECT_EQ(table.get(0x9000), 4u);
+    table.clear();
+    EXPECT_EQ(table.storageBytes(), uint64_t{AliasTable::NodeBytes});
+}
+
+TEST(AliasStore, RestoreRejectsRepeatedOrUnsortedWords)
+{
+    // The writer emits each live word once, in ascending order, so
+    // a list that repeats or reorders words cannot have come from
+    // it; rebuilding through set() would silently keep the last.
+    expectRejected("[[4096, 42], [4096, 43]]");
+    expectRejected("[[4097, 42], [4096, 43]]");
+    // A word past VA bit 47 would alias a lower one in the tree.
+    expectRejected("[[35184372088832, 42]]");
+
+    // The same entries in order restore, and the tree and page bits
+    // are rebuilt from them.
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::Value::parse("[[4096, 42], [4097, 43]]", doc, &err))
         << err;
     AliasTable table;
-    ASSERT_TRUE(table.restoreState(doc));
-    // Path 0/1/2/3/4 encodes word index 0b000000000'000000001'
-    // 000000010'000000011'000000100 = addr below.
-    uint64_t addr = ((((((uint64_t{0} << 9 | 1) << 9 | 2) << 9 | 3)
-                      << 9) |
-                     4)
-                     << 3);
-    EXPECT_EQ(table.get(addr), 42u);
-    EXPECT_EQ(table.liveEntries(), 1u);
-    EXPECT_TRUE(table.pageHostsAliases(addr));
+    ASSERT_TRUE(restore(table, doc));
+    EXPECT_EQ(table.get(4096 << 3), 42u);
+    EXPECT_EQ(table.get(4097 << 3), 43u);
+    EXPECT_EQ(table.liveEntries(), 2u);
+    EXPECT_TRUE(table.pageHostsAliases(4096 << 3));
     EXPECT_EQ(table.storageBytes(), 5 * uint64_t{AliasTable::NodeBytes});
+    EXPECT_EQ(table.encode().dump(0), doc.dump(0));
 }
 
 TEST(AliasStore, RestoreRejectsDuplicateSlotIndices)
 {
     // Regression: a malformed snapshot repeating a slot index made
-    // the pre-reclamation restoreNode overwrite the child pointer
-    // with a fresh node, orphaning the first child — restoreState
-    // reported success, the node count stayed inflated, and the next
-    // clear() died on the "alias table leak" assert.
-    const char *dup_interior = R"({
-      "tree": [[0, [[1, [[2, [[3, [[4, 42]]]]]]]]],
-               [0, [[1, [[2, [[3, [[5, 43]]]]]]]]]],
-      "pages": [],
-      "liveEntries": 2
-    })";
-    const char *dup_leaf = R"({
-      "tree": [[0, [[1, [[2, [[3, [[4, 42], [4, 43]]]]]]]]]],
-      "pages": [],
-      "liveEntries": 1
-    })";
-    for (const char *text : {dup_interior, dup_leaf}) {
-        json::Value doc;
-        std::string err;
-        ASSERT_TRUE(json::Value::parse(text, doc, &err)) << err;
-        AliasTable table;
-        table.set(0x8000, 9);
-        EXPECT_FALSE(table.restoreState(doc));
-        // No leak, no poisoned state: the table is empty and fully
-        // usable, and clear() (inside restore and here) is safe.
-        EXPECT_EQ(table.liveEntries(), 0u);
-        table.set(0x9000, 4);
-        EXPECT_EQ(table.get(0x9000), 4u);
-        table.clear();
-        EXPECT_EQ(table.storageBytes(),
-                  uint64_t{AliasTable::NodeBytes});
-    }
+    // the pre-reclamation restore overwrite the child pointer with a
+    // fresh node, orphaning the first child — restore reported
+    // success, the node count stayed inflated, and the next clear()
+    // died on the "alias table leak" assert. A leaf slot is a word
+    // of the flat v2 list; repeating one anywhere is rejected.
+    expectRejected("[[4096, 42], [4096, 42]]");
+    expectRejected("[[1, 7], [4096, 42], [8192, 3], [8192, 4]]");
 }
 
 TEST(AliasStore, RestoreRejectsNonPidLeafPayloads)
 {
-    // Leaf payloads must be nonzero 32-bit PIDs: a wider value would
-    // be truncated by get(), and a zero is never serialized.
-    const char *too_wide = R"({
-      "tree": [[0, [[1, [[2, [[3, [[4, 4294967296]]]]]]]]]],
-      "pages": [],
-      "liveEntries": 1
-    })";
-    const char *zero = R"({
-      "tree": [[0, [[1, [[2, [[3, [[4, 0]]]]]]]]]],
-      "pages": [],
-      "liveEntries": 0
-    })";
-    for (const char *text : {too_wide, zero}) {
-        json::Value doc;
-        std::string err;
-        ASSERT_TRUE(json::Value::parse(text, doc, &err)) << err;
-        AliasTable table;
-        EXPECT_FALSE(table.restoreState(doc));
-        EXPECT_EQ(table.liveEntries(), 0u);
-    }
+    // Entries must carry nonzero 32-bit PIDs: a wider value would be
+    // truncated by get(), and a zero is never written.
+    expectRejected("[[4096, 4294967296]]");
+    expectRejected("[[4096, 0]]");
+    expectRejected("[[4096, -1]]");
+    expectRejected("[[4096]]");
 }
 
 TEST(AliasPageCountsTest, SetCountZeroForUnknownPageIsNoop)

@@ -7,11 +7,11 @@
  * plus two std::map<uint64_t, Pid> indices plus per-PID word
  * bitmaps — and the randomized run drives both through the same
  * hundreds of thousands of operations, asserting identical return
- * values at every step and byte-identical chex-snapshot-v1 documents
+ * values at every step and byte-identical chex-snapshot-v2 documents
  * at checkpoints, including a save/restore of the real table
- * mid-stream. Also pins clear()/restoreState() consistency of
- * nextPid/liveCount across clear-then-reuse, and restores an
- * old-format fixture document.
+ * mid-stream. Also pins clear()/decode() consistency of
+ * nextPid/liveCount across clear-then-reuse, and restores a
+ * hand-written fixture document.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +30,15 @@ namespace chex
 {
 namespace
 {
+
+/** decode() without the problem text. */
+template <typename T>
+bool
+restore(T &target, const json::Value &doc)
+{
+    std::string why;
+    return target.decode(doc, &why);
+}
 
 /**
  * The capability table exactly as the std::map-backed implementation
@@ -207,8 +216,9 @@ class RefCapTable
     uint64_t totalCapabilities() const { return caps.size(); }
     uint64_t liveCapabilities() const { return liveCount; }
 
+    /** The chex-snapshot-v2 capTable document, written by hand. */
     json::Value
-    saveState() const
+    encode() const
     {
         json::Value jcaps = json::Value::array();
         for (const auto &[pid, cap] : caps) {
@@ -228,14 +238,28 @@ class RefCapTable
             }
             return out;
         };
+        // Each bitmap as its runs of set bits, [lo, hi) word pairs.
         json::Value jinit = json::Value::array();
         for (const auto &[pid, bits] : initBits) {
-            json::Value jwords = json::Value::array();
-            for (uint64_t w : bits)
-                jwords.push(w);
+            json::Value jranges = json::Value::array();
+            uint64_t n = bits.size() * 64;
+            for (uint64_t w = 0; w < n;) {
+                if (!(bits[w / 64] & (1ull << (w % 64)))) {
+                    ++w;
+                    continue;
+                }
+                uint64_t lo = w;
+                while (w < n && (bits[w / 64] & (1ull << (w % 64))))
+                    ++w;
+                json::Value range = json::Value::array();
+                range.push(lo);
+                range.push(w);
+                jranges.push(std::move(range));
+            }
             jinit.push(json::Value::object()
                            .set("pid", pid)
-                           .set("words", std::move(jwords)));
+                           .set("words", uint64_t{bits.size()})
+                           .set("ranges", std::move(jranges)));
         }
         return json::Value::object()
             .set("caps", std::move(jcaps))
@@ -468,33 +492,32 @@ TEST(CapStoreEquivalence, RandomizedVsMapReference)
         ASSERT_EQ(real.liveCapabilities(), ref.liveCapabilities());
 
         if ((op % SnapshotEvery) == 0 || op + 1 == Ops) {
-            ASSERT_EQ(real.saveState().dump(2),
-                      ref.saveState().dump(2))
+            ASSERT_EQ(real.encode().dump(2),
+                      ref.encode().dump(2))
                 << "snapshot diverged at op " << op;
         }
 
         if (op == RestoreAt) {
             // Round-trip the real table through its own serialized
             // document mid-stream and keep going.
-            std::string blob = real.saveState().dump(2);
+            std::string blob = real.encode().dump(2);
             json::Value parsed;
             std::string err;
             ASSERT_TRUE(json::Value::parse(blob, parsed, &err)) << err;
             real.clear();
-            ASSERT_TRUE(real.restoreState(parsed));
-            ASSERT_EQ(real.saveState().dump(2), blob);
+            ASSERT_TRUE(restore(real, parsed));
+            ASSERT_EQ(real.encode().dump(2), blob);
         }
     }
 }
 
 /**
- * An old-format fixture — written against the std::map-backed
- * serialization by hand — must restore into the rebuilt table and
- * answer exactly as the old implementation did, including continuing
- * the PID sequence. Guards the chex-snapshot-v1 compatibility
- * promise from the store side.
+ * A fixture written by hand in the chex-snapshot-v2 shape must
+ * restore into the table and answer exactly as the old
+ * implementation did, including continuing the PID sequence; the
+ * same document with a repeated PID is rejected.
  */
-TEST(CapStoreEquivalence, RestoresOldFormatFixture)
+TEST(CapStoreEquivalence, RestoresHandWrittenFixture)
 {
     // pid 1: live [0x1000, 0x1040); pid 2: freed [0x2000, 0x2020);
     // pid 1 has its first 8 words marked initialized.
@@ -505,7 +528,7 @@ TEST(CapStoreEquivalence, RestoresOldFormatFixture)
       ],
       "liveByBase": [[4096, 1]],
       "freedByBase": [[8192, 2]],
-      "initBits": [{"pid": 1, "words": [255, 0]}],
+      "initBits": [{"pid": 1, "words": 2, "ranges": [[0, 8]]}],
       "nextPid": 3,
       "liveCount": 1
     })";
@@ -516,7 +539,8 @@ TEST(CapStoreEquivalence, RestoresOldFormatFixture)
 
     CapabilityTable t;
     t.setTrackInitialization(true);
-    ASSERT_TRUE(t.restoreState(parsed));
+    ASSERT_TRUE(restore(t, parsed));
+    EXPECT_EQ(t.encode().dump(0), parsed.dump(0));
 
     EXPECT_EQ(t.totalCapabilities(), 2u);
     EXPECT_EQ(t.liveCapabilities(), 1u);
@@ -533,13 +557,32 @@ TEST(CapStoreEquivalence, RestoresOldFormatFixture)
     // The PID sequence continues from the restored nextPid.
     Violation v;
     EXPECT_EQ(t.beginGeneration(16, &v), 3u);
-
-    // And the re-serialized document is identical modulo the new
-    // capability just created.
     t.endGeneration(3, 0); // failed alloc: caps entry, no index entry
-    json::Value out = t.saveState();
-    EXPECT_EQ(json::getUint(out, "nextPid", 0), 4u);
-    EXPECT_EQ(json::getUint(out, "liveCount", 99), 1u);
+    json::Value out = t.encode();
+    EXPECT_EQ(out.at("nextPid").asUint64(), 4u);
+    EXPECT_EQ(out.at("liveCount").asUint64(), 1u);
+
+    // A repeated PID, base or range is not a document the writer
+    // emits.
+    for (const char *bad :
+         {R"({"pid": 1, "base": 4096, "bounds": 64, "perms": 51})",
+          R"([4096, 1])", R"({"pid": 1, "words": 2, "ranges": [[9, 10]]})"}) {
+        SCOPED_TRACE(bad);
+        json::Value item;
+        ASSERT_TRUE(json::Value::parse(bad, item, &err)) << err;
+        const char *list = item.isArray() ? "liveByBase"
+                           : item.find("base") ? "caps"
+                                               : "initBits";
+        json::Value doubled = json::Value::array();
+        doubled.push(item);
+        doubled.push(item);
+        json::Value doc = parsed;
+        doc.set(list, std::move(doubled));
+        CapabilityTable u;
+        EXPECT_FALSE(u.decode(doc, &err));
+        EXPECT_NE(err.find(std::string(list) + "[1]"), std::string::npos)
+            << err;
+    }
 }
 
 /** Satellite: clear-then-reuse must fully reset the PID allocator
@@ -570,20 +613,20 @@ TEST(CapStoreEquivalence, ClearThenReuseResetsAllocatorState)
 
     // Snapshot after clear-then-reuse round-trips with the same
     // nextPid/liveCount.
-    json::Value snap = t.saveState();
+    json::Value snap = t.encode();
     CapabilityTable u;
-    ASSERT_TRUE(u.restoreState(snap));
-    EXPECT_EQ(u.saveState().dump(2), snap.dump(2));
+    ASSERT_TRUE(restore(u, snap));
+    EXPECT_EQ(u.encode().dump(2), snap.dump(2));
     EXPECT_EQ(u.beginGeneration(8, &v), 2u);
     EXPECT_EQ(u.liveCapabilities(), 1u);
 
-    // restoreState clears pre-existing contents before loading.
+    // decode() clears pre-existing contents before loading.
     CapabilityTable w;
     for (int i = 0; i < 50; ++i) {
         Pid p = w.beginGeneration(16, &v);
         w.endGeneration(p, 0x9000 + i * 0x40);
     }
-    ASSERT_TRUE(w.restoreState(snap));
+    ASSERT_TRUE(restore(w, snap));
     EXPECT_EQ(w.totalCapabilities(), 1u);
     EXPECT_EQ(w.liveCapabilities(), 1u);
     EXPECT_EQ(w.pidForAddress(0x9000), NoPid);

@@ -666,24 +666,6 @@ TEST(Json, Uint64MaxRoundTrips)
     EXPECT_EQ(back.dump(), text);
 }
 
-TEST(Json, ObjectGetterHelpersApplyDefaults)
-{
-    json::Value v;
-    std::string err;
-    ASSERT_TRUE(json::Value::parse(
-        "{\"b\": true, \"u\": 9, \"d\": 1.5, \"s\": \"x\"}", v, &err))
-        << err;
-    EXPECT_TRUE(json::getBool(v, "b", false));
-    EXPECT_EQ(json::getUint(v, "u", 0), 9u);
-    EXPECT_EQ(json::getDouble(v, "d", 0.0), 1.5);
-    EXPECT_EQ(json::getString(v, "s", ""), "x");
-    // Absent or wrong-kind members fall back to the default.
-    EXPECT_TRUE(json::getBool(v, "missing", true));
-    EXPECT_EQ(json::getUint(v, "s", 5), 5u);
-    EXPECT_EQ(json::getString(v, "u", "dflt"), "dflt");
-    EXPECT_EQ(json::getUint(json::Value(3.0), "u", 2), 2u);
-}
-
 TEST(Json, ParserRejectsMalformed)
 {
     json::Value out;

@@ -145,7 +145,8 @@ TEST(SparseMemory, ClearAndRestoreInvalidateTranslationCache)
     ASSERT_EQ(m.read(0x5000, 8), 0x1111u); // primes the memo again
     SparseMemory other;
     other.write(0x5000, 0x2222, 8);
-    ASSERT_TRUE(m.restoreState(other.saveState()));
+    std::string why;
+    ASSERT_TRUE(m.decode(other.encode(), &why)) << why;
     EXPECT_EQ(m.read(0x5000, 8), 0x2222u);
 }
 

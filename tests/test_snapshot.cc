@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 
 #include "sim/system.hh"
 #include "snapshot/codec.hh"
 #include "snapshot/snapshot.hh"
+#include "snapshot_docs.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
 
@@ -322,4 +324,199 @@ TEST(Snapshot, WarmupPastEndOfRunRejected)
                                       uint64_t{1} << 62, 1, &entry,
                                       &err));
     EXPECT_NE(err.find("terminated before"), std::string::npos) << err;
+}
+
+namespace
+{
+
+using snapdocs::Path;
+
+/** Restore @p doc into @p sys; the error, or "" when it restored. */
+std::string
+restoreError(System &sys, const json::Value &doc)
+{
+    std::string err;
+    return sys.restoreSnapshot(doc, &err) ? std::string() : err;
+}
+
+/** @p doc with the node at @p path replaced by @p value. */
+json::Value
+with(const json::Value &doc, const Path &path, json::Value value)
+{
+    return snapdocs::edited(doc, path, [&](const json::Value &) {
+        return std::optional<json::Value>(value);
+    });
+}
+
+/** @p doc with the node at @p path removed. */
+json::Value
+without(const json::Value &doc, const Path &path)
+{
+    return snapdocs::edited(doc, path, [](const json::Value &) {
+        return std::optional<json::Value>();
+    });
+}
+
+/** @p doc with element @p i of the array at @p path repeated. */
+json::Value
+repeating(const json::Value &doc, const Path &path, size_t i = 0)
+{
+    return snapdocs::edited(doc, path, [i](const json::Value &array) {
+        json::Value out = json::Value::array();
+        for (size_t k = 0; k < array.size(); ++k) {
+            out.push(array.at(k));
+            if (k == i)
+                out.push(array.at(k));
+        }
+        return std::optional<json::Value>(out);
+    });
+}
+
+} // anonymous namespace
+
+TEST(Snapshot, MalformedArrayElementIsRejectedNotAborted)
+{
+    // Regression: a bundle entry whose core.regReady[28] was "x" (with
+    // its stateHash re-signed) passed the bundle check and then
+    // aborted restore on a kind assertion inside the JSON layer,
+    // killing the campaign (or its isolated worker) with no report.
+    BenchmarkProfile p = testProfile();
+    SystemConfig cfg = configFor(VariantKind::MicrocodePrediction);
+    snapshot::MachineEntry entry;
+    std::string err;
+    ASSERT_TRUE(
+        snapshot::buildEntry(p, cfg, TestSeed, Warmup, 1, &entry, &err))
+        << err;
+    entry.state = with(entry.state, {"machine", "core", "regReady", "28"},
+                       json::Value("x"));
+    entry.stateHash = snapshot::jsonStateHash(entry.state);
+
+    snapshot::Bundle bundle;
+    bundle.entries.push_back(entry);
+    snapshot::Bundle loaded;
+    ASSERT_TRUE(snapshot::fromJson(snapshot::toJson(bundle), &loaded, &err))
+        << err;
+
+    System sys(cfg);
+    EXPECT_FALSE(
+        snapshot::restoreEntry(loaded.entries[0], p, cfg, &sys, &err));
+    EXPECT_EQ(err, "snapshot: machine.core.regReady[28] is not an "
+                   "unsigned integer in range");
+}
+
+TEST(Snapshot, RestoreRejectsWhatItUsedToDefault)
+{
+    // Each of these restored "ok" through the old lenient getters:
+    // a wrong-kind or out-of-range number read as a default or was
+    // truncated, an unknown enum value was cast, a missing page
+    // number read as page 0, and a repeated page, cache slot, PID or
+    // alias word silently overwrote the one before it.
+    json::Value doc = snapdocs::tinySnapshot(VariantKind::MicrocodePrediction);
+    ASSERT_FALSE(doc.isNull());
+    ASSERT_GE(doc.at("machine").at("mem").size(), 2u);
+    ASSERT_GE(doc.at("machine").at("aliases").size(), 2u);
+    ASSERT_GE(doc.at("machine").at("capTable").at("caps").size(), 2u);
+    ASSERT_GE(
+        doc.at("machine").at("hier").at("l1d").at("entries").size(), 2u);
+    const Path fetch{"machine", "core", "fetchCycle"};
+    const Path aliases{"machine", "aliases"};
+    json::Value pending = json::Value::array();
+    pending.push(json::Value::object()
+                     .set("kind", uint64_t{77})
+                     .set("genPid", uint64_t{0})
+                     .set("freePid", uint64_t{0}));
+    json::Value swapped = json::Value::array();
+    swapped.push(doc.at("machine").at("aliases").at(1));
+    swapped.push(doc.at("machine").at("aliases").at(0));
+
+    struct Case
+    {
+        json::Value doc;
+        std::string path; // of the member the error must name
+    };
+    const Case cases[] = {
+        {with(doc, fetch, "oops"), "machine.core.fetchCycle"},
+        {with(doc, fetch, -5), "machine.core.fetchCycle"},
+        {with(doc, fetch, 1.5e30), "machine.core.fetchCycle"},
+        {with(doc, fetch, 1.5), "machine.core.fetchCycle"},
+        {with(doc, {"machine", "macroCount"}, "oops"), "machine.macroCount"},
+        {with(doc, {"machine", "pending"}, pending),
+         "machine.pending[0].kind"},
+        {without(doc, {"machine", "mem", "0", "page"}),
+         "machine.mem[0].page"},
+        {repeating(doc, {"machine", "mem"}), "machine.mem[1]"},
+        {repeating(doc, {"machine", "hier", "l1d", "entries"}),
+         "machine.hier.l1d.entries[1].slot"},
+        {repeating(doc, {"machine", "capTable", "caps"}),
+         "machine.capTable.caps[1]"},
+        {repeating(doc, aliases), "machine.aliases[1]"},
+        {with(doc, aliases, swapped), "machine.aliases[1]"},
+        {with(doc, {"machine", "aliases", "0", "1"}, uint64_t{0}),
+         "machine.aliases[0][1]"},
+        {with(doc, {"machine", "capTable", "caps", "0", "pid"},
+              uint64_t{1} << 32),
+         "machine.capTable.caps[0].pid"},
+    };
+    auto sys = snapdocs::tinySystem(VariantKind::MicrocodePrediction);
+    ASSERT_EQ(restoreError(*sys, doc), "");
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.path);
+        std::string err = restoreError(*sys, c.doc);
+        EXPECT_EQ(err.rfind("snapshot: " + c.path + " ", 0), 0u) << err;
+    }
+}
+
+TEST(Snapshot, EveryMemberIsRequiredAndTyped)
+{
+    // Walk every object member, and element 0 of every array, of a
+    // saved document: removing an object member, or replacing any
+    // of them with a value of another kind, must be rejected with an
+    // error naming that member. (Removing an array element can leave
+    // a valid, shorter list; the fuzz suite covers those.)
+    for (VariantKind kind :
+         {VariantKind::Baseline, VariantKind::MicrocodePrediction}) {
+        SCOPED_TRACE(variantName(kind));
+        json::Value doc = snapdocs::tinySnapshot(kind);
+        ASSERT_FALSE(doc.isNull());
+        std::vector<Path> paths;
+        std::function<void(const json::Value &, Path &)> walk =
+            [&](const json::Value &v, Path &path) {
+                if (v.isObject()) {
+                    for (const auto &[key, member] : v.members()) {
+                        path.push_back(key);
+                        paths.push_back(path);
+                        walk(member, path);
+                        path.pop_back();
+                    }
+                } else if (v.isArray() && v.size() > 0) {
+                    path.push_back("0");
+                    paths.push_back(path);
+                    walk(v.at(size_t{0}), path);
+                    path.pop_back();
+                }
+            };
+        Path root;
+        walk(doc, root);
+        ASSERT_GT(paths.size(), 250u);
+
+        auto sys = snapdocs::tinySystem(kind);
+        size_t checked = 0;
+        for (const Path &path : paths) {
+            std::string name = snapdocs::pathName(doc, path);
+            SCOPED_TRACE(name);
+            const json::Value &node = snapdocs::nodeAt(doc, path);
+            std::string err = restoreError(
+                *sys, with(doc, path, snapdocs::otherKind(node)));
+            EXPECT_EQ(err.rfind("snapshot: " + name + " ", 0), 0u) << err;
+            if (!snapdocs::nodeAt(doc, Path(path.begin(), path.end() - 1))
+                     .isObject())
+                continue;
+            err = restoreError(*sys, without(doc, path));
+            EXPECT_EQ(err, "snapshot: " + name + " is missing");
+            ++checked;
+        }
+        EXPECT_GT(checked, 150u);
+        // The system still restores the untouched document.
+        EXPECT_EQ(restoreError(*sys, doc), "");
+    }
 }
