@@ -1,5 +1,7 @@
 #include "base64.hh"
 
+#include <array>
+
 namespace chex
 {
 
@@ -11,21 +13,13 @@ const char kAlphabet[] =
     "0123456789+/";
 
 /** 0-63 for alphabet characters, -1 otherwise ('=' included). */
-int
-decodeChar(char c)
-{
-    if (c >= 'A' && c <= 'Z')
-        return c - 'A';
-    if (c >= 'a' && c <= 'z')
-        return c - 'a' + 26;
-    if (c >= '0' && c <= '9')
-        return c - '0' + 52;
-    if (c == '+')
-        return 62;
-    if (c == '/')
-        return 63;
-    return -1;
-}
+constexpr std::array<int8_t, 256> kDecode = [] {
+    std::array<int8_t, 256> table{};
+    table.fill(-1);
+    for (int i = 0; i < 64; ++i)
+        table[static_cast<unsigned char>(kAlphabet[i])] = int8_t(i);
+    return table;
+}();
 
 } // namespace
 
@@ -33,67 +27,67 @@ std::string
 base64Encode(const void *data, size_t n)
 {
     const uint8_t *p = static_cast<const uint8_t *>(data);
-    std::string out;
-    out.reserve(((n + 2) / 3) * 4);
+    std::string out(((n + 2) / 3) * 4, '=');
+    char *o = out.data();
     size_t i = 0;
-    for (; i + 3 <= n; i += 3) {
+    for (; i + 3 <= n; i += 3, o += 4) {
         uint32_t v = (uint32_t(p[i]) << 16) | (uint32_t(p[i + 1]) << 8) |
                      uint32_t(p[i + 2]);
-        out += kAlphabet[(v >> 18) & 63];
-        out += kAlphabet[(v >> 12) & 63];
-        out += kAlphabet[(v >> 6) & 63];
-        out += kAlphabet[v & 63];
+        o[0] = kAlphabet[(v >> 18) & 63];
+        o[1] = kAlphabet[(v >> 12) & 63];
+        o[2] = kAlphabet[(v >> 6) & 63];
+        o[3] = kAlphabet[v & 63];
     }
-    size_t rem = n - i;
-    if (rem == 1) {
+    // A final group of one or two bytes keeps its '=' padding.
+    if (size_t rem = n - i) {
         uint32_t v = uint32_t(p[i]) << 16;
-        out += kAlphabet[(v >> 18) & 63];
-        out += kAlphabet[(v >> 12) & 63];
-        out += "==";
-    } else if (rem == 2) {
-        uint32_t v = (uint32_t(p[i]) << 16) | (uint32_t(p[i + 1]) << 8);
-        out += kAlphabet[(v >> 18) & 63];
-        out += kAlphabet[(v >> 12) & 63];
-        out += kAlphabet[(v >> 6) & 63];
-        out += '=';
+        if (rem == 2)
+            v |= uint32_t(p[i + 1]) << 8;
+        o[0] = kAlphabet[(v >> 18) & 63];
+        o[1] = kAlphabet[(v >> 12) & 63];
+        if (rem == 2)
+            o[2] = kAlphabet[(v >> 6) & 63];
     }
     return out;
 }
 
 bool
-base64Decode(const std::string &text, std::vector<uint8_t> &out)
+base64Decode(std::string_view text, uint8_t *out, size_t n)
 {
-    out.clear();
     if (text.size() % 4 != 0)
         return false;
-    out.reserve((text.size() / 4) * 3);
-    for (size_t i = 0; i < text.size(); i += 4) {
-        int pad = 0;
-        int vals[4];
-        for (int j = 0; j < 4; ++j) {
-            char c = text[i + j];
-            if (c == '=') {
-                // Padding is only legal in the last group's final
-                // one or two positions.
-                if (i + 4 != text.size() || j < 2)
-                    return false;
-                ++pad;
-                vals[j] = 0;
-                continue;
-            }
-            if (pad)
-                return false; // data after '='
-            vals[j] = decodeChar(c);
-            if (vals[j] < 0)
-                return false;
-        }
-        uint32_t v = (uint32_t(vals[0]) << 18) | (uint32_t(vals[1]) << 12) |
-                     (uint32_t(vals[2]) << 6) | uint32_t(vals[3]);
-        out.push_back(uint8_t((v >> 16) & 0xff));
-        if (pad < 2)
-            out.push_back(uint8_t((v >> 8) & 0xff));
-        if (pad < 1)
-            out.push_back(uint8_t(v & 0xff));
+    // Padding is only legal in the last group's final one or two
+    // positions.
+    size_t pad = 0;
+    if (!text.empty() && text.back() == '=')
+        pad = text[text.size() - 2] == '=' ? 2 : 1;
+    if (text.size() / 4 * 3 - pad != n)
+        return false;
+    const unsigned char *t =
+        reinterpret_cast<const unsigned char *>(text.data());
+    size_t len = text.size() - pad;
+    size_t i = 0;
+    for (; i + 4 <= len; i += 4, out += 3) {
+        int8_t a = kDecode[t[i]], b = kDecode[t[i + 1]],
+               c = kDecode[t[i + 2]], d = kDecode[t[i + 3]];
+        if ((a | b | c | d) < 0)
+            return false; // a character outside the alphabet
+        uint32_t v = (uint32_t(a) << 18) | (uint32_t(b) << 12) |
+                     (uint32_t(c) << 6) | uint32_t(d);
+        out[0] = uint8_t(v >> 16);
+        out[1] = uint8_t(v >> 8);
+        out[2] = uint8_t(v);
+    }
+    if (pad) {
+        int8_t a = kDecode[t[i]], b = kDecode[t[i + 1]],
+               c = pad == 1 ? kDecode[t[i + 2]] : 0;
+        if ((a | b | c) < 0)
+            return false;
+        uint32_t v = (uint32_t(a) << 18) | (uint32_t(b) << 12) |
+                     (uint32_t(c) << 6);
+        out[0] = uint8_t(v >> 16);
+        if (pad == 1)
+            out[1] = uint8_t(v >> 8);
     }
     return true;
 }

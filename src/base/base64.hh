@@ -10,8 +10,8 @@
 #define CHEX_BASE_BASE64_HH
 
 #include <cstdint>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/fields.hh"
@@ -29,11 +29,12 @@ base64Encode(const std::vector<uint8_t> &data)
 }
 
 /**
- * Decode padded base64 into @p out (replacing its contents).
- * Returns false — leaving @p out unspecified — on any malformed
- * input: bad characters, bad length, or misplaced padding.
+ * Decode padded base64 into exactly @p n bytes at @p out. Returns
+ * false — leaving @p out unspecified — on any malformed input (bad
+ * characters, bad length, or misplaced padding) or when @p text
+ * holds another number of bytes.
  */
-bool base64Decode(const std::string &text, std::vector<uint8_t> &out);
+bool base64Decode(std::string_view text, uint8_t *out, size_t n);
 
 /**
  * A fixed-length byte buffer (a std::vector or std::array of
@@ -54,14 +55,12 @@ struct Base64Bytes
     bool
     decode(const json::Value &v, std::string *why) const
     {
-        std::vector<uint8_t> read;
-        if (!v.isString() || !base64Decode(v.str(), read) ||
-            read.size() != bytes.size()) {
+        if (!v.isString() ||
+            !base64Decode(v.str(), bytes.data(), bytes.size())) {
             return json::reject(why, " is not base64 of " +
                                          std::to_string(bytes.size()) +
                                          " bytes");
         }
-        std::memcpy(bytes.data(), read.data(), read.size());
         return true;
     }
 };

@@ -1,12 +1,11 @@
 #include "json.hh"
 
-#include <cctype>
-#include <cerrno>
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <string_view>
 
 #include "base/logging.hh"
 
@@ -19,7 +18,7 @@ Value
 Value::object()
 {
     Value v;
-    v._kind = Kind::Object;
+    v._v.emplace<kObject>();
     return v;
 }
 
@@ -27,70 +26,81 @@ Value
 Value::array()
 {
     Value v;
-    v._kind = Kind::Array;
+    v._v.emplace<kArray>();
     return v;
+}
+
+Value::Kind
+Value::kind() const
+{
+    static constexpr Kind kinds[] = {Kind::Null,   Kind::Bool,
+                                     Kind::Number, Kind::Number,
+                                     Kind::String, Kind::Array,
+                                     Kind::Object};
+    return kinds[_v.index()];
 }
 
 bool
 Value::boolean() const
 {
-    chex_assert(_kind == Kind::Bool, "json: not a bool");
-    return _bool;
+    chex_assert(isBool(), "json: not a bool");
+    return std::get<kBool>(_v);
 }
 
 double
 Value::number() const
 {
-    chex_assert(_kind == Kind::Number, "json: not a number");
-    return _num;
+    chex_assert(isNumber(), "json: not a number");
+    return isUint64() ? static_cast<double>(std::get<kUint>(_v))
+                      : std::get<kDouble>(_v);
 }
 
 uint64_t
 Value::asUint64() const
 {
-    chex_assert(_kind == Kind::Number, "json: not a number");
-    return _exactUint ? _uint : static_cast<uint64_t>(_num);
+    chex_assert(isNumber(), "json: not a number");
+    return isUint64() ? std::get<kUint>(_v)
+                      : static_cast<uint64_t>(std::get<kDouble>(_v));
 }
 
 const std::string &
 Value::str() const
 {
-    chex_assert(_kind == Kind::String, "json: not a string");
-    return _str;
+    chex_assert(isString(), "json: not a string");
+    return std::get<kString>(_v);
 }
 
 Value &
 Value::push(Value v)
 {
-    if (_kind == Kind::Null)
-        _kind = Kind::Array;
-    chex_assert(_kind == Kind::Array, "json: push on non-array");
-    _items.push_back(std::move(v));
+    if (isNull())
+        _v.emplace<kArray>();
+    chex_assert(isArray(), "json: push on non-array");
+    std::get<kArray>(_v).push_back(std::move(v));
     return *this;
 }
 
 Value &
 Value::set(const std::string &key, Value v)
 {
-    if (_kind == Kind::Null)
-        _kind = Kind::Object;
-    chex_assert(_kind == Kind::Object, "json: set on non-object");
-    for (auto &m : _members) {
+    if (isNull())
+        _v.emplace<kObject>();
+    chex_assert(isObject(), "json: set on non-object");
+    Members &members = std::get<kObject>(_v);
+    for (auto &m : members) {
         if (m.first == key) {
             m.second = std::move(v);
             return *this;
         }
     }
-    _members.emplace_back(key, std::move(v));
+    members.emplace_back(key, std::move(v));
     return *this;
 }
 
 const Value *
 Value::find(const std::string &key) const
 {
-    if (_kind != Kind::Object)
-        return nullptr;
-    for (const auto &m : _members)
+    for (const auto &m : members())
         if (m.first == key)
             return &m.second;
     return nullptr;
@@ -108,45 +118,31 @@ Value::at(const std::string &key) const
 const Value &
 Value::at(size_t index) const
 {
-    chex_assert(_kind == Kind::Array, "json: at() on non-array");
-    chex_assert(index < _items.size(), "json: array index out of range");
-    return _items[index];
+    chex_assert(isArray(), "json: at() on non-array");
+    chex_assert(index < items().size(), "json: array index out of range");
+    return items()[index];
 }
 
 size_t
 Value::size() const
 {
-    if (_kind == Kind::Array)
-        return _items.size();
-    if (_kind == Kind::Object)
-        return _members.size();
-    return 0;
+    return isArray() ? items().size() : members().size();
 }
 
-void
-writeEscaped(std::ostream &os, const std::string &s)
+const Value::Items &
+Value::items() const
 {
-    os << '"';
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\b': os << "\\b"; break;
-          case '\f': os << "\\f"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << static_cast<char>(c);
-            }
-        }
-    }
-    os << '"';
+    static const Items none;
+    const Items *items = std::get_if<kArray>(&_v);
+    return items ? *items : none;
+}
+
+const Value::Members &
+Value::members() const
+{
+    static const Members none;
+    const Members *members = std::get_if<kObject>(&_v);
+    return members ? *members : none;
 }
 
 namespace
@@ -155,111 +151,176 @@ namespace
 // Largest integer magnitude a double represents exactly.
 constexpr double kExactIntLimit = 9007199254740992.0; // 2^53
 
-void
-writeNumber(std::ostream &os, double d)
+/** A byte a JSON string cannot hold raw: a quote, a backslash, or a
+ * control byte. */
+bool
+special(unsigned char c)
 {
-    if (!std::isfinite(d)) {
-        os << "null"; // JSON has no NaN/Inf
-        return;
+    return c < 0x20 || c == '"' || c == '\\';
+}
+
+/**
+ * The offset of the first special() byte of @p s at or after @p i,
+ * or s.size(). Eight bytes at a time: a word with no zero byte
+ * after XOR with '"' or '\\', and none below 0x20, is skipped
+ * whole (the bit tricks may flag a clean word, never miss a byte).
+ */
+size_t
+plainRun(std::string_view s, size_t i)
+{
+    constexpr uint64_t ones = 0x0101010101010101ull;
+    constexpr uint64_t highs = 0x8080808080808080ull;
+    for (; i + 8 <= s.size(); i += 8) {
+        uint64_t w;
+        std::memcpy(&w, s.data() + i, 8);
+        uint64_t quote = w ^ (ones * '"');
+        uint64_t backslash = w ^ (ones * '\\');
+        if ((((w - ones * 0x20) & ~w) | ((quote - ones) & ~quote) |
+             ((backslash - ones) & ~backslash)) &
+            highs)
+            break;
     }
-    char buf[40];
-    if (d == std::floor(d) && std::fabs(d) < kExactIntLimit) {
-        std::snprintf(buf, sizeof(buf), "%.0f", d);
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
+    while (i < s.size() && !special(s[i]))
+        ++i;
+    return i;
+}
+
+/** @p s as a quoted JSON string; runs needing no escape go in bulk. */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    out += '"';
+    for (size_t run = 0;;) {
+        size_t i = plainRun(s, run);
+        out.append(s, run, i - run);
+        if (i == s.size())
+            break;
+        run = i + 1;
+        unsigned char c = s[i];
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            out += "\\u00";
+            out += "0123456789abcdef"[c >> 4];
+            out += "0123456789abcdef"[c & 0xf];
+        }
     }
-    os << buf;
+    out += '"';
 }
 
 void
-newlineIndent(std::ostream &os, unsigned indent, unsigned depth)
+appendUint(std::string &out, uint64_t u)
 {
-    os << '\n';
-    for (unsigned i = 0; i < indent * depth; ++i)
-        os << ' ';
+    char buf[20];
+    char *end = std::to_chars(buf, buf + sizeof(buf), u).ptr;
+    out.append(buf, end);
+}
+
+void
+appendDouble(std::string &out, double d)
+{
+    if (!std::isfinite(d)) {
+        out += "null"; // JSON has no NaN/Inf
+        return;
+    }
+    char buf[40];
+    int n = d == std::floor(d) && std::fabs(d) < kExactIntLimit
+                ? std::snprintf(buf, sizeof(buf), "%.0f", d)
+                : std::snprintf(buf, sizeof(buf), "%.17g", d);
+    out.append(buf, n);
+}
+
+void
+newlineIndent(std::string &out, unsigned indent, unsigned depth)
+{
+    out += '\n';
+    out.append(size_t{indent} * depth, ' ');
 }
 
 } // namespace
 
 void
-Value::writeIndented(std::ostream &os, unsigned indent,
-                     unsigned depth) const
+Value::append(std::string &out, unsigned indent, unsigned depth) const
 {
-    switch (_kind) {
-      case Kind::Null:
-        os << "null";
+    switch (_v.index()) {
+      case kNull:
+        out += "null";
         break;
-      case Kind::Bool:
-        os << (_bool ? "true" : "false");
+      case kBool:
+        out += std::get<kBool>(_v) ? "true" : "false";
         break;
-      case Kind::Number:
-        if (_exactUint) {
-            char buf[24];
-            std::snprintf(buf, sizeof(buf), "%llu",
-                          static_cast<unsigned long long>(_uint));
-            os << buf;
-        } else {
-            writeNumber(os, _num);
-        }
+      case kDouble:
+        appendDouble(out, std::get<kDouble>(_v));
         break;
-      case Kind::String:
-        writeEscaped(os, _str);
+      case kUint:
+        appendUint(out, std::get<kUint>(_v));
         break;
-      case Kind::Array:
-        if (_items.empty()) {
-            os << "[]";
+      case kString:
+        appendEscaped(out, std::get<kString>(_v));
+        break;
+      case kArray: {
+        const Items &items = std::get<kArray>(_v);
+        if (items.empty()) {
+            out += "[]";
             break;
         }
-        os << '[';
-        for (size_t i = 0; i < _items.size(); ++i) {
+        out += '[';
+        for (size_t i = 0; i < items.size(); ++i) {
             if (i)
-                os << ',';
+                out += ',';
             if (indent)
-                newlineIndent(os, indent, depth + 1);
-            _items[i].writeIndented(os, indent, depth + 1);
+                newlineIndent(out, indent, depth + 1);
+            items[i].append(out, indent, depth + 1);
         }
         if (indent)
-            newlineIndent(os, indent, depth);
-        os << ']';
+            newlineIndent(out, indent, depth);
+        out += ']';
         break;
-      case Kind::Object:
-        if (_members.empty()) {
-            os << "{}";
+      }
+      case kObject: {
+        const Members &members = std::get<kObject>(_v);
+        if (members.empty()) {
+            out += "{}";
             break;
         }
-        os << '{';
-        for (size_t i = 0; i < _members.size(); ++i) {
+        out += '{';
+        for (size_t i = 0; i < members.size(); ++i) {
             if (i)
-                os << ',';
+                out += ',';
             if (indent)
-                newlineIndent(os, indent, depth + 1);
-            writeEscaped(os, _members[i].first);
-            os << (indent ? ": " : ":");
-            _members[i].second.writeIndented(os, indent, depth + 1);
+                newlineIndent(out, indent, depth + 1);
+            appendEscaped(out, members[i].first);
+            out += indent ? ": " : ":";
+            members[i].second.append(out, indent, depth + 1);
         }
         if (indent)
-            newlineIndent(os, indent, depth);
-        os << '}';
+            newlineIndent(out, indent, depth);
+        out += '}';
         break;
+      }
     }
 }
 
 void
 Value::write(std::ostream &os, unsigned indent) const
 {
-    writeIndented(os, indent, 0);
+    std::string text = dump(indent);
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 std::string
 Value::dump(unsigned indent) const
 {
-    std::ostringstream ss;
-    write(ss, indent);
-    return ss.str();
+    std::string out;
+    append(out, indent, 0);
+    return out;
 }
-
-namespace
-{
 
 /** Recursive-descent parser over a raw character range. */
 class Parser
@@ -270,7 +331,7 @@ class Parser
     bool
     parse(Value &out, std::string *err)
     {
-        bool ok = value(out) && (skipWs(), pos == s.size());
+        bool ok = value(out, 0) && (skipWs(), pos == s.size());
         if (!ok && err)
             *err = error.empty()
                        ? csprintf("json: trailing garbage at byte %zu",
@@ -280,6 +341,10 @@ class Parser
     }
 
   private:
+    // Deeper documents are refused rather than risk the stack; the
+    // documents this project writes nest a few levels deep.
+    static constexpr unsigned kMaxDepth = 512;
+
     bool
     fail(const char *what)
     {
@@ -288,30 +353,32 @@ class Parser
         return false;
     }
 
+    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+    bool more() const { return pos < s.size(); }
+
     void
     skipWs()
     {
-        while (pos < s.size() &&
-               (s[pos] == ' ' || s[pos] == '\t' || s[pos] == '\n' ||
-                s[pos] == '\r'))
+        while (more() && (s[pos] == ' ' || s[pos] == '\t' ||
+                          s[pos] == '\n' || s[pos] == '\r'))
             ++pos;
     }
 
     bool
-    literal(const char *lit)
+    literal(std::string_view lit)
     {
-        size_t n = std::strlen(lit);
-        if (s.compare(pos, n, lit) != 0)
+        if (s.compare(pos, lit.size(), lit) != 0)
             return fail("bad literal");
-        pos += n;
+        pos += lit.size();
         return true;
     }
 
     bool
-    value(Value &out)
+    value(Value &out, unsigned depth)
     {
         skipWs();
-        if (pos >= s.size())
+        if (!more())
             return fail("unexpected end of input");
         switch (s[pos]) {
           case 'n':
@@ -323,139 +390,175 @@ class Parser
           case 'f':
             out = Value(false);
             return literal("false");
-          case '"': {
-            std::string str;
-            if (!string(str))
-                return false;
-            out = Value(std::move(str));
-            return true;
-          }
+          case '"':
+            return string(out._v.emplace<Value::kString>());
           case '[':
-            return array(out);
+            return depth < kMaxDepth ? array(out, depth + 1)
+                                     : fail("nesting too deep");
           case '{':
-            return object(out);
+            return depth < kMaxDepth ? object(out, depth + 1)
+                                     : fail("nesting too deep");
           default:
             return number(out);
         }
     }
 
+    /** Four hex digits after "\u" at pos; advances past them. */
+    bool
+    hex4(unsigned &cp)
+    {
+        if (s.size() - pos < 4)
+            return fail("bad \\u escape");
+        cp = 0;
+        for (int i = 0; i < 4; ++i, ++pos) {
+            char h = s[pos];
+            cp <<= 4;
+            if (isDigit(h))
+                cp |= h - '0';
+            else if (h >= 'a' && h <= 'f')
+                cp |= h - 'a' + 10;
+            else if (h >= 'A' && h <= 'F')
+                cp |= h - 'A' + 10;
+            else
+                return fail("bad \\u escape");
+        }
+        return true;
+    }
+
     bool
     string(std::string &out)
     {
-        if (s[pos] != '"')
-            return fail("expected string");
-        ++pos;
-        out.clear();
-        while (pos < s.size() && s[pos] != '"') {
+        ++pos; // opening quote
+        for (;;) {
+            // The run up to the next quote, escape or control byte
+            // goes in whole.
+            size_t run = pos;
+            pos = plainRun(s, pos);
+            out.append(s, run, pos - run);
+            if (!more())
+                return fail("unterminated string");
             char c = s[pos];
-            if (c == '\\') {
-                if (++pos >= s.size())
-                    return fail("bad escape");
-                switch (s[pos]) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'n': out += '\n'; break;
-                  case 'r': out += '\r'; break;
-                  case 't': out += '\t'; break;
-                  case 'u': {
-                    if (pos + 4 >= s.size())
-                        return fail("bad \\u escape");
-                    unsigned cp = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = s[pos + 1 + i];
-                        cp <<= 4;
-                        if (h >= '0' && h <= '9')
-                            cp |= h - '0';
-                        else if (h >= 'a' && h <= 'f')
-                            cp |= h - 'a' + 10;
-                        else if (h >= 'A' && h <= 'F')
-                            cp |= h - 'A' + 10;
-                        else
-                            return fail("bad \\u escape");
-                    }
-                    pos += 4;
-                    // UTF-8 encode the BMP code point (no surrogate
-                    // pairing; the writer never emits them).
-                    if (cp < 0x80) {
-                        out += static_cast<char>(cp);
-                    } else if (cp < 0x800) {
-                        out += static_cast<char>(0xc0 | (cp >> 6));
-                        out += static_cast<char>(0x80 | (cp & 0x3f));
-                    } else {
-                        out += static_cast<char>(0xe0 | (cp >> 12));
-                        out += static_cast<char>(0x80 |
-                                                 ((cp >> 6) & 0x3f));
-                        out += static_cast<char>(0x80 | (cp & 0x3f));
-                    }
-                    break;
-                  }
-                  default:
-                    return fail("bad escape");
+            if (c == '"') {
+                ++pos;
+                return true;
+            }
+            if (c != '\\')
+                return fail("control character in string");
+            if (++pos >= s.size())
+                return fail("bad escape");
+            switch (s[pos++]) {
+              case '"': out += '"'; break;
+              case '\\': out += '\\'; break;
+              case '/': out += '/'; break;
+              case 'b': out += '\b'; break;
+              case 'f': out += '\f'; break;
+              case 'n': out += '\n'; break;
+              case 'r': out += '\r'; break;
+              case 't': out += '\t'; break;
+              case 'u': {
+                unsigned cp;
+                if (!hex4(cp))
+                    return false;
+                // UTF-8 encode the BMP code point. Surrogates are
+                // not characters; the writer never emits them.
+                if (cp >= 0xd800 && cp <= 0xdfff) {
+                    pos -= 6;
+                    return fail("surrogate \\u escape");
                 }
-                ++pos;
-            } else {
-                out += c;
-                ++pos;
+                if (cp < 0x80) {
+                    out += static_cast<char>(cp);
+                } else if (cp < 0x800) {
+                    out += static_cast<char>(0xc0 | (cp >> 6));
+                    out += static_cast<char>(0x80 | (cp & 0x3f));
+                } else {
+                    out += static_cast<char>(0xe0 | (cp >> 12));
+                    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+                    out += static_cast<char>(0x80 | (cp & 0x3f));
+                }
+                break;
+              }
+              default:
+                --pos;
+                return fail("bad escape");
             }
         }
-        if (pos >= s.size())
-            return fail("unterminated string");
-        ++pos; // closing quote
-        return true;
+    }
+
+    /** Skips a run of digits; false when there is none. */
+    bool
+    digits()
+    {
+        size_t start = pos;
+        while (more() && isDigit(s[pos]))
+            ++pos;
+        return pos > start;
     }
 
     bool
     number(Value &out)
     {
+        // RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
         size_t start = pos;
-        if (pos < s.size() && s[pos] == '-')
+        bool negative = s[pos] == '-';
+        if (negative)
             ++pos;
-        while (pos < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
-                s[pos] == '+' || s[pos] == '-'))
+        if (!more() || !isDigit(s[pos]))
+            return negative ? fail("bad number") : fail("expected value");
+        if (s[pos] == '0' && pos + 1 < s.size() && isDigit(s[pos + 1])) {
             ++pos;
-        if (pos == start)
-            return fail("expected value");
-        char *end = nullptr;
-        std::string tok = s.substr(start, pos - start);
+            return fail("leading zero in number");
+        }
+        digits();
+        bool integer = true;
+        if (more() && s[pos] == '.') {
+            ++pos;
+            if (!digits())
+                return fail("bad number");
+            integer = false;
+        }
+        if (more() && (s[pos] == 'e' || s[pos] == 'E')) {
+            ++pos;
+            if (more() && (s[pos] == '+' || s[pos] == '-'))
+                ++pos;
+            if (!digits())
+                return fail("bad number");
+            integer = false;
+        }
+        const char *first = s.data() + start;
+        const char *last = s.data() + pos;
         // Non-negative integer literals that fit uint64 parse
         // exactly, so 64-bit counters/seeds round-trip losslessly.
-        if (tok.find_first_of(".eE-") == std::string::npos) {
-            errno = 0;
-            unsigned long long u = std::strtoull(tok.c_str(), &end, 10);
-            if (end && *end == '\0' && errno == 0) {
-                out = Value(static_cast<uint64_t>(u));
+        if (integer && !negative) {
+            uint64_t u;
+            if (std::from_chars(first, last, u).ec == std::errc()) {
+                out._v.emplace<Value::kUint>(u);
                 return true;
             }
         }
-        double d = std::strtod(tok.c_str(), &end);
-        if (!end || *end != '\0')
-            return fail("bad number");
-        out = Value(d);
+        double d;
+        if (std::from_chars(first, last, d).ec != std::errc()) {
+            pos = start;
+            return fail("number out of double range");
+        }
+        out._v.emplace<Value::kDouble>(d);
         return true;
     }
 
     bool
-    array(Value &out)
+    array(Value &out, unsigned depth)
     {
         ++pos; // '['
-        out = Value::array();
+        Value::Items &items = out._v.emplace<Value::kArray>();
         skipWs();
-        if (pos < s.size() && s[pos] == ']') {
+        if (more() && s[pos] == ']') {
             ++pos;
             return true;
         }
         for (;;) {
-            Value elem;
-            if (!value(elem))
+            if (!value(items.emplace_back(), depth))
                 return false;
-            out.push(std::move(elem));
             skipWs();
-            if (pos >= s.size())
+            if (!more())
                 return fail("unterminated array");
             if (s[pos] == ',') {
                 ++pos;
@@ -470,32 +573,31 @@ class Parser
     }
 
     bool
-    object(Value &out)
+    object(Value &out, unsigned depth)
     {
+        size_t start = pos;
         ++pos; // '{'
-        out = Value::object();
+        Value::Members &members = out._v.emplace<Value::kObject>();
         skipWs();
-        if (pos < s.size() && s[pos] == '}') {
+        if (more() && s[pos] == '}') {
             ++pos;
             return true;
         }
         for (;;) {
             skipWs();
-            if (pos >= s.size() || s[pos] != '"')
+            if (!more() || s[pos] != '"')
                 return fail("expected object key");
-            std::string key;
-            if (!string(key))
+            auto &member = members.emplace_back();
+            if (!string(member.first))
                 return false;
             skipWs();
-            if (pos >= s.size() || s[pos] != ':')
+            if (!more() || s[pos] != ':')
                 return fail("expected ':'");
             ++pos;
-            Value member;
-            if (!value(member))
+            if (!value(member.second, depth))
                 return false;
-            out.set(key, std::move(member));
             skipWs();
-            if (pos >= s.size())
+            if (!more())
                 return fail("unterminated object");
             if (s[pos] == ',') {
                 ++pos;
@@ -503,18 +605,54 @@ class Parser
             }
             if (s[pos] == '}') {
                 ++pos;
-                return true;
+                break;
             }
             return fail("expected ',' or '}'");
         }
+        if (const std::string *key = repeatedKey(members)) {
+            pos = start;
+            return fail(csprintf("repeated key \"%s\" in object",
+                                 key->c_str())
+                            .c_str());
+        }
+        return true;
+    }
+
+    /** A key that appears twice in @p members, or nullptr. */
+    static const std::string *
+    repeatedKey(const Value::Members &members)
+    {
+        // Small objects (every field-list record) compare pairwise;
+        // larger ones sort their keys, so neither is quadratic in a
+        // way that matters.
+        constexpr size_t kPairwise = 16;
+        if (members.size() <= kPairwise) {
+            for (size_t i = 1; i < members.size(); ++i)
+                for (size_t j = 0; j < i; ++j)
+                    if (members[i].first == members[j].first)
+                        return &members[i].first;
+            return nullptr;
+        }
+        std::vector<const std::string *> keys;
+        keys.reserve(members.size());
+        for (const auto &m : members)
+            keys.push_back(&m.first);
+        auto less = [](const std::string *a, const std::string *b) {
+            return *a < *b;
+        };
+        std::sort(keys.begin(), keys.end(), less);
+        auto same = std::adjacent_find(
+            keys.begin(), keys.end(),
+            [](const std::string *a, const std::string *b) {
+                return *a == *b;
+            });
+        return same == keys.end() ? nullptr : *same;
     }
 
     const std::string &s;
     size_t pos = 0;
     std::string error;
 };
-
-} // namespace
 
 bool
 Value::parse(const std::string &text, Value &out, std::string *err)

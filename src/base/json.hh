@@ -4,12 +4,25 @@
  * strict recursive-descent parser.
  *
  * The campaign driver uses it to emit machine-readable reports and
- * the tests use the parser to round-trip them; System::dumpStatsJson
- * uses it for structured single-run stats. Deliberately small: no
- * comments, no NaN/Inf (written as null), objects preserve insertion
- * order, numbers are doubles (integral values in the exactly
- * representable range are printed without a decimal point so
- * uint64 counters round-trip textually).
+ * the tests use the parser to round-trip them; snapshots and
+ * System::dumpStatsJson use it for structured state.
+ *
+ * Layout: a Value is one std::variant of null, bool, double, exact
+ * uint64, string, array (a vector of Values) or object (a vector of
+ * key/value pairs in insertion order) — 40 bytes, asserted below.
+ *
+ * Numbers: a non-negative integer built from an integer type, or
+ * parsed from an integer literal that fits uint64, is held exactly
+ * and written as its digits; every other number is a double, written
+ * as "%.0f" when integral with magnitude below 2^53 and "%.17g"
+ * otherwise, so each double round-trips bit for bit. NaN and
+ * infinities are written as null.
+ *
+ * The parser reads RFC 8259 JSON and nothing else: numbers follow
+ * its grammar (no '+', leading zeros, bare '.' or 'inf') and must be
+ * in double range, strings may hold no raw control bytes and no
+ * \uD800-\uDFFF escapes, object keys may not repeat, and nesting is
+ * bounded. Every error names its byte offset.
  */
 
 #ifndef CHEX_BASE_JSON_HH
@@ -19,6 +32,7 @@
 #include <ostream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace chex
@@ -40,50 +54,49 @@ class Value
         Object,
     };
 
+    using Items = std::vector<Value>;
+    using Members = std::vector<std::pair<std::string, Value>>;
+
     Value() = default;
     Value(std::nullptr_t) {}
-    Value(bool b) : _kind(Kind::Bool), _bool(b) {}
-    Value(double d) : _kind(Kind::Number), _num(d) {}
-    // Non-negative signed integers keep the exact-uint flag too, so
-    // asUint64() never round-trips an int-constructed counter
-    // through its double approximation.
-    Value(int i) : _kind(Kind::Number), _num(i)
-    {
-        if (i >= 0) {
-            _uint = static_cast<uint64_t>(i);
-            _exactUint = true;
-        }
-    }
+    Value(bool b) : _v(std::in_place_index<kBool>, b) {}
+    Value(double d) : _v(std::in_place_index<kDouble>, d) {}
+    // Non-negative signed integers are exact too, so asUint64()
+    // never round-trips an int-constructed counter through its
+    // double approximation.
+    Value(int i) : Value(static_cast<int64_t>(i)) {}
     Value(unsigned u) : Value(static_cast<uint64_t>(u)) {}
     Value(int64_t i)
-        : _kind(Kind::Number), _num(static_cast<double>(i))
     {
-        if (i >= 0) {
-            _uint = static_cast<uint64_t>(i);
-            _exactUint = true;
-        }
+        if (i >= 0)
+            _v.emplace<kUint>(static_cast<uint64_t>(i));
+        else
+            _v.emplace<kDouble>(static_cast<double>(i));
     }
     // Unsigned 64-bit values (counters, seeds) stay exact: the
     // writer prints the integer, not its double approximation.
-    Value(uint64_t u)
-        : _kind(Kind::Number), _num(static_cast<double>(u)),
-          _uint(u), _exactUint(true) {}
-    Value(const char *s) : _kind(Kind::String), _str(s) {}
-    Value(std::string s) : _kind(Kind::String), _str(std::move(s)) {}
+    Value(uint64_t u) : _v(std::in_place_index<kUint>, u) {}
+    Value(const char *s) : _v(std::in_place_index<kString>, s) {}
+    Value(std::string s)
+        : _v(std::in_place_index<kString>, std::move(s)) {}
 
     /** Empty-aggregate factories (distinguish {} from []). */
     static Value object();
     static Value array();
 
-    Kind kind() const { return _kind; }
-    bool isNull() const { return _kind == Kind::Null; }
-    bool isBool() const { return _kind == Kind::Bool; }
-    bool isNumber() const { return _kind == Kind::Number; }
-    bool isString() const { return _kind == Kind::String; }
-    bool isArray() const { return _kind == Kind::Array; }
-    bool isObject() const { return _kind == Kind::Object; }
+    Kind kind() const;
+    bool isNull() const { return _v.index() == kNull; }
+    bool isBool() const { return _v.index() == kBool; }
+    bool
+    isNumber() const
+    {
+        return _v.index() == kDouble || _v.index() == kUint;
+    }
+    bool isString() const { return _v.index() == kString; }
+    bool isArray() const { return _v.index() == kArray; }
+    bool isObject() const { return _v.index() == kObject; }
     /** A number held exactly as a non-negative integer. */
-    bool isUint64() const { return _kind == Kind::Number && _exactUint; }
+    bool isUint64() const { return _v.index() == kUint; }
 
     /** @{ @name Typed accessors (panic on kind mismatch) */
     bool boolean() const;
@@ -117,12 +130,10 @@ class Value
     /** Element/member count (0 for scalars). */
     size_t size() const;
 
-    const std::vector<Value> &items() const { return _items; }
-    const std::vector<std::pair<std::string, Value>> &
-    members() const
-    {
-        return _members;
-    }
+    /** The elements; empty unless an array. */
+    const Items &items() const;
+    /** The members in insertion order; empty unless an object. */
+    const Members &members() const;
 
     /**
      * Serialize. @p indent 0 writes compact single-line JSON;
@@ -130,11 +141,11 @@ class Value
      */
     void write(std::ostream &os, unsigned indent = 0) const;
 
-    /** write() into a string. */
+    /** The text write() writes. */
     std::string dump(unsigned indent = 0) const;
 
     /**
-     * Strict RFC-8259-style parse of @p text (whole-input; trailing
+     * Strict RFC 8259 parse of @p text (whole-input; trailing
      * garbage is an error). Returns false and fills @p err (if
      * non-null) on malformed input.
      */
@@ -142,21 +153,28 @@ class Value
                       std::string *err = nullptr);
 
   private:
-    void writeIndented(std::ostream &os, unsigned indent,
-                       unsigned depth) const;
+    friend class Parser;
 
-    Kind _kind = Kind::Null;
-    bool _bool = false;
-    double _num = 0.0;
-    uint64_t _uint = 0;       // exact value when _exactUint
-    bool _exactUint = false;
-    std::string _str;
-    std::vector<Value> _items;                          // Array
-    std::vector<std::pair<std::string, Value>> _members; // Object
+    /** The variant's alternative indices. */
+    enum : size_t
+    {
+        kNull,
+        kBool,
+        kDouble,
+        kUint,
+        kString,
+        kArray,
+        kObject,
+    };
+
+    void append(std::string &out, unsigned indent, unsigned depth) const;
+
+    std::variant<std::monostate, bool, double, uint64_t, std::string,
+                 Items, Members>
+        _v;
 };
 
-/** Write @p s as a quoted, escaped JSON string literal. */
-void writeEscaped(std::ostream &os, const std::string &s);
+static_assert(sizeof(Value) <= 40, "json::Value grew past 40 bytes");
 
 } // namespace json
 } // namespace chex

@@ -168,8 +168,7 @@ runSpecFromSnapshot(const JobSpec &spec, uint64_t seed,
     }
     System sys(spec.config);
     std::string err;
-    if (!snapshot::restoreEntry(entry, spec.profile, spec.config,
-                                &sys, &err)) {
+    if (!snapshot::restoreEntry(entry, spec.profile, &sys, &err)) {
         throw std::runtime_error(
             csprintf("cannot restore snapshot for '%s': %s",
                      spec.label.c_str(), err.c_str()));

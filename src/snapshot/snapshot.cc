@@ -54,7 +54,7 @@ buildEntry(const BenchmarkProfile &profile, const SystemConfig &config,
 
 bool
 restoreEntry(const MachineEntry &entry, const BenchmarkProfile &profile,
-             const SystemConfig &config, System *sys, std::string *err)
+             System *sys, std::string *err)
 {
     sys->load(generateWorkload(profile, entry.seed));
     return sys->restoreSnapshot(entry.state, err);

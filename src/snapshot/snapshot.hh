@@ -80,14 +80,14 @@ bool buildEntry(const BenchmarkProfile &profile,
                 MachineEntry *out, std::string *err = nullptr);
 
 /**
- * Restore @p entry into a fresh System built from @p config: the
- * workload program is regenerated from (profile, seed) and the
- * saved machine state applied on top. Returns false with @p err
- * set on any mismatch (see System::restoreSnapshot).
+ * Restore @p entry into @p sys, a fresh System: the workload program
+ * is regenerated from (profile, seed) and the saved machine state
+ * applied on top. Returns false with @p err set on any mismatch,
+ * including a config other than the saved one (see
+ * System::restoreSnapshot).
  */
 bool restoreEntry(const MachineEntry &entry,
-                  const BenchmarkProfile &profile,
-                  const SystemConfig &config, System *sys,
+                  const BenchmarkProfile &profile, System *sys,
                   std::string *err = nullptr);
 
 /** @{ @name Bundle (de)serialization

@@ -1,13 +1,18 @@
 /**
  * @file
- * Unit tests for the base utilities: logging formatters, the
+ * Unit tests for the base utilities: logging formatters, base64, the
  * deterministic RNG, integer math, statistics, and table rendering.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <numeric>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "base/base64.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -23,6 +28,41 @@ TEST(Logging, CsprintfFormats)
 {
     EXPECT_EQ(csprintf("%d-%s", 42, "x"), "42-x");
     EXPECT_EQ(csprintf("%06x", 0xabc), "000abc");
+}
+
+TEST(Base64, RoundTripsAndRejectsMalformed)
+{
+    // RFC 4648's vectors decode back into exactly their length, and
+    // into no other.
+    const std::pair<const char *, const char *> vectors[] = {
+        {"", ""},         {"f", "Zg=="},         {"fo", "Zm8="},
+        {"foo", "Zm9v"},  {"foob", "Zm9vYg=="},  {"fooba", "Zm9vYmE="},
+        {"foobar", "Zm9vYmFy"}};
+    for (auto [plain, coded] : vectors) {
+        SCOPED_TRACE(coded);
+        size_t n = std::strlen(plain);
+        EXPECT_EQ(base64Encode(plain, n), coded);
+        std::vector<uint8_t> back(n + 1);
+        ASSERT_TRUE(base64Decode(coded, back.data(), n));
+        EXPECT_EQ(std::string(back.begin(), back.begin() + n), plain);
+        EXPECT_FALSE(base64Decode(coded, back.data(), n + 1));
+    }
+    std::vector<uint8_t> all(256);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<uint8_t> back(all.size());
+    ASSERT_TRUE(base64Decode(base64Encode(all), back.data(), back.size()));
+    EXPECT_EQ(back, all);
+
+    // Bad length, characters outside the alphabet, and padding
+    // anywhere but the last group's final one or two places, each at
+    // the byte count the text's length implies.
+    const std::pair<const char *, size_t> bad[] = {
+        {"Zm9", 2},      {"Zm9v=", 3},    {"Zm9*", 3},     {"Zm9v Zm9", 6},
+        {"Z===", 1},     {"=m9v", 3},     {"Zm=v", 3},     {"Zg==Zm9v", 6},
+        {"Zm9vYg=a", 6}, {"Zm9vY\\==", 4}};
+    uint8_t buf[8];
+    for (auto [text, n] : bad)
+        EXPECT_FALSE(base64Decode(text, buf, n)) << text;
 }
 
 TEST(Random, DeterministicFromSeed)

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -676,6 +677,69 @@ TEST(Json, ParserRejectsMalformed)
     EXPECT_TRUE(json::Value::parse(" [ ] ", out));
     EXPECT_TRUE(json::Value::parse("{\"u\":\"\\u0041\"}", out));
     EXPECT_EQ(out.at("u").str(), "A");
+
+    // Numbers follow the RFC 8259 grammar and must fit a double; the
+    // error names the byte where the number goes wrong.
+    std::string err;
+    for (const char *bad :
+         {"+1", "01", "-01", "00", ".5", "1.", "-.5", "1.e5", "1e", "1e+",
+          "-", "--1", "0x10", "Infinity", "-Infinity", "NaN", "[01]",
+          "1e400", "-1e400", "1e-400"}) {
+        SCOPED_TRACE(bad);
+        err.clear();
+        EXPECT_FALSE(json::Value::parse(bad, out, &err));
+        EXPECT_NE(err.find(" at byte "), std::string::npos) << err;
+    }
+    EXPECT_FALSE(json::Value::parse("[1,1e400]", out, &err));
+    EXPECT_EQ(err, "json: number out of double range at byte 3");
+    EXPECT_FALSE(json::Value::parse("[01]", out, &err));
+    EXPECT_EQ(err, "json: leading zero in number at byte 2");
+    for (const char *good :
+         {"0", "-0", "1.5e-3", "1E+2", "-0.0e0", "4.9406564584124654e-324",
+          "18446744073709551616", "1.7976931348623157e308"}) {
+        SCOPED_TRACE(good);
+        EXPECT_TRUE(json::Value::parse(good, out, &err)) << err;
+    }
+    ASSERT_TRUE(json::Value::parse("18446744073709551615", out));
+    EXPECT_TRUE(out.isUint64());
+    ASSERT_TRUE(json::Value::parse("18446744073709551616", out));
+    EXPECT_FALSE(out.isUint64());
+    EXPECT_EQ(out.number(), 18446744073709551616.0);
+    ASSERT_TRUE(json::Value::parse("-0", out));
+    EXPECT_TRUE(std::signbit(out.number()));
+
+    // A key may appear once per object, small or large.
+    EXPECT_FALSE(json::Value::parse("{\"a\":1,\"a\":2}", out, &err));
+    EXPECT_EQ(err, "json: repeated key \"a\" in object at byte 0");
+    std::string wide = "{";
+    for (int i = 0; i < 40; ++i)
+        wide += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+    EXPECT_TRUE(json::Value::parse(wide + "\"k40\":0}", out, &err)) << err;
+    EXPECT_FALSE(json::Value::parse("[" + wide + "\"k7\":0}]", out, &err));
+    EXPECT_EQ(err, "json: repeated key \"k7\" in object at byte 1");
+    EXPECT_TRUE(json::Value::parse("{\"a\":{\"a\":1},\"b\":{\"a\":2}}", out));
+
+    // Strings hold no raw control bytes and no surrogate escapes; the
+    // writer escapes the first and never emits the second.
+    EXPECT_FALSE(json::Value::parse("\"a\tb\"", out, &err));
+    EXPECT_EQ(err, "json: control character in string at byte 2");
+    EXPECT_FALSE(json::Value::parse(std::string("\"\0\"", 3), out));
+    EXPECT_FALSE(json::Value::parse("\"\x1f\"", out));
+    EXPECT_FALSE(json::Value::parse("[\"\\ud800\"]", out, &err));
+    EXPECT_EQ(err, "json: surrogate \\u escape at byte 2");
+    EXPECT_FALSE(json::Value::parse("\"\\uDFFF\"", out));
+    EXPECT_FALSE(json::Value::parse("\"\\ud83d\\ude00\"", out));
+    ASSERT_TRUE(json::Value::parse("\"\\t\\u001f\\ud7ff\\ue000\x7f\"", out));
+    EXPECT_EQ(out.str(), "\t\x1f\xed\x9f\xbf\xee\x80\x80\x7f");
+
+    // Nesting is bounded, so a hostile document cannot exhaust the
+    // stack.
+    EXPECT_TRUE(json::Value::parse(std::string(512, '[') +
+                                       std::string(512, ']'),
+                                   out, &err))
+        << err;
+    EXPECT_FALSE(json::Value::parse(std::string(100000, '['), out, &err));
+    EXPECT_EQ(err, "json: nesting too deep at byte 512");
 }
 
 TEST(Report, CampaignJsonRoundTrips)

@@ -128,8 +128,7 @@ TEST(Snapshot, RestoreRunsBitIdentically)
         EXPECT_NE(entry.stateHash, 0u);
 
         System restored(cfg);
-        ASSERT_TRUE(
-            snapshot::restoreEntry(entry, p, cfg, &restored, &err))
+        ASSERT_TRUE(snapshot::restoreEntry(entry, p, &restored, &err))
             << err;
         ASSERT_TRUE(restored.paused());
         RunResult b = restored.run();
@@ -153,7 +152,7 @@ TEST(Snapshot, SaveRestoreSaveIsStable)
         << err;
 
     System restored(cfg);
-    ASSERT_TRUE(snapshot::restoreEntry(entry, p, cfg, &restored, &err))
+    ASSERT_TRUE(snapshot::restoreEntry(entry, p, &restored, &err))
         << err;
     json::Value again = restored.saveSnapshot(&err);
     ASSERT_FALSE(again.isNull()) << err;
@@ -255,8 +254,7 @@ TEST(Snapshot, MismatchedRestoreRejected)
     {
         SystemConfig other = configFor(VariantKind::MicrocodeAlwaysOn);
         System sys(other);
-        EXPECT_FALSE(
-            snapshot::restoreEntry(entry, p, other, &sys, &err));
+        EXPECT_FALSE(snapshot::restoreEntry(entry, p, &sys, &err));
         EXPECT_NE(err.find("configuration mismatch"),
                   std::string::npos)
             << err;
@@ -267,8 +265,7 @@ TEST(Snapshot, MismatchedRestoreRejected)
         SystemConfig other = cfg;
         other.capCacheEntries = 16;
         System sys(other);
-        EXPECT_FALSE(
-            snapshot::restoreEntry(entry, p, other, &sys, &err));
+        EXPECT_FALSE(snapshot::restoreEntry(entry, p, &sys, &err));
         EXPECT_NE(err.find("configuration mismatch"),
                   std::string::npos)
             << err;
@@ -398,8 +395,7 @@ TEST(Snapshot, MalformedArrayElementIsRejectedNotAborted)
         << err;
 
     System sys(cfg);
-    EXPECT_FALSE(
-        snapshot::restoreEntry(loaded.entries[0], p, cfg, &sys, &err));
+    EXPECT_FALSE(snapshot::restoreEntry(loaded.entries[0], p, &sys, &err));
     EXPECT_EQ(err, "snapshot: machine.core.regReady[28] is not an "
                    "unsigned integer in range");
 }
