@@ -10,9 +10,9 @@
  * shrinks.
  *
  * The per-profile (baseline + five protected fractions) cells run as
- * one job list on the campaign driver's worker pool, so the usual
- * bench env knobs — scale, jobs, isolate, timeout, cache, shard —
- * all apply. Workload generation is deterministic in (profile,
+ * one job list on the campaign driver's worker pool, so both bench
+ * env knobs, CHEX_BENCH_SCALE and CHEX_BENCH_JOBS, apply (see
+ * common.hh). Workload generation is deterministic in (profile,
  * seed), so the program generated here to size the critical regions
  * is bit-identical to the one each driver job regenerates.
  */

@@ -7,8 +7,8 @@
  * matter.
  *
  * Each sweep is a (profile × ConfigPoint) matrix on the campaign
- * driver's worker pool, so the usual bench env knobs — scale, jobs,
- * isolate, timeout, cache, shard — all apply.
+ * driver's worker pool, so both bench env knobs, CHEX_BENCH_SCALE
+ * and CHEX_BENCH_JOBS, apply (see common.hh).
  */
 
 #include <iostream>

@@ -10,8 +10,8 @@
  * degrades superlinearly with the live count shows up as the 1M-row
  * ops/s collapsing relative to the 10K row.
  *
- * Methodology mirrors micro_throughput: every row runs REPS times
- * from a fresh table (best-of-N wall clock); the op stream is a
+ * Methodology (scale_bench.hh): every row runs three times from a
+ * fresh table (best-of-3 wall clock); the op stream is a
  * fixed-seed mix of capCheck-style checks, exhaustive address
  * searches, and free+reallocate churn (half the reallocations reuse
  * a freed base, covering the same-base collision path). Target
@@ -24,9 +24,7 @@
  * shadow bytes, and a fold of every returned PID/violation — are
  * deterministic functions of the seed, so bench-compare treats any
  * drift in them as fatal while wall-clock regressions only warn.
- *
- * Output: a chex-bench-capscale-v1 JSON document on stdout (so
- * `cap_scale > BENCH_capscale.json` commits cleanly); the
+ * Output: a chex-bench-capscale-v1 JSON document on stdout; the
  * human-readable table goes to stderr.
  */
 
@@ -35,18 +33,17 @@
 #include <cstdio>
 #include <vector>
 
-#include "base/json.hh"
 #include "base/random.hh"
 #include "cap/cap_table.hh"
-#include "common.hh"
+#include "scale_bench.hh"
 
 using namespace chex;
+using namespace chex::bench;
 
 namespace
 {
 
 constexpr uint64_t Seed = 1;
-constexpr int Reps = 3;
 /** Young-generation / hot-set size for the server access model. */
 constexpr uint64_t HotWindow = 4096;
 
@@ -57,32 +54,10 @@ struct LiveEntry
     uint64_t size;
 };
 
-struct RowResult
-{
-    uint64_t liveTarget = 0;
-    uint64_t ops = 0;        // capability-table operations executed
-    uint64_t totalCaps = 0;
-    uint64_t liveCaps = 0;
-    uint64_t peakShadowBytes = 0;
-    uint64_t checksum = 0;
-    double bestWallSeconds = 0.0;
-    double opsPerSecond = 0.0;
-};
-
-uint64_t
-mix(uint64_t h, uint64_t v)
-{
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return h;
-}
-
 /** One full rep: ramp to @p live_target, then churn. */
-RowResult
+ScaleRep
 runRep(uint64_t live_target, uint64_t churn_ops)
 {
-    RowResult row;
-    row.liveTarget = live_target;
-
     CapabilityTable table;
     Random rng(Seed ^ (live_target * 0x9e3779b97f4a7c15ull));
 
@@ -186,14 +161,16 @@ runRep(uint64_t live_target, uint64_t churn_ops)
 
     auto t1 = std::chrono::steady_clock::now();
 
-    row.ops = ops;
-    row.totalCaps = table.totalCapabilities();
-    row.liveCaps = table.liveCapabilities();
-    row.peakShadowBytes = peak;
-    row.checksum = checksum;
-    row.bestWallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    return row;
+    ScaleRep rep;
+    rep.ops = ops;
+    rep.fields = {
+        {"totalCapabilities", table.totalCapabilities(), "total caps", 12},
+        {"liveCapabilities", table.liveCapabilities(), nullptr, 0},
+        {"peakShadowBytes", peak, "peak shadow B", 16},
+        {"checksum", checksum, nullptr, 0},
+    };
+    rep.seconds = std::chrono::duration<double>(t1 - t0).count();
+    return rep;
 }
 
 } // namespace
@@ -201,75 +178,6 @@ runRep(uint64_t live_target, uint64_t churn_ops)
 int
 main()
 {
-    const uint64_t scale = bench::scale();
-    const uint64_t churn_ops =
-        std::max<uint64_t>(100000, 2000000 / std::max<uint64_t>(
-                                                 1, scale));
-    const std::vector<uint64_t> targets = {10000, 100000, 1000000};
-
-    json::Value doc = json::Value::object();
-    doc.set("schema", "chex-bench-capscale-v1");
-    doc.set("seed", Seed);
-    doc.set("scale", scale);
-    doc.set("reps", static_cast<uint64_t>(Reps));
-    doc.set("churnOps", churn_ops);
-
-    std::fprintf(stderr, "%-12s %12s %12s %16s %10s %14s\n",
-                 "live", "table ops", "total caps", "peak shadow B",
-                 "best s", "ops/s");
-
-    json::Value rows = json::Value::array();
-    double base_rate = 0.0;
-    for (uint64_t target : targets) {
-        RowResult best{};
-        for (int rep = 0; rep < Reps; ++rep) {
-            RowResult r = runRep(target, churn_ops);
-            if (rep == 0 ||
-                r.bestWallSeconds < best.bestWallSeconds) {
-                best = r;
-            } else {
-                // Structural outputs must not depend on the rep.
-                if (r.ops != best.ops ||
-                    r.checksum != best.checksum) {
-                    std::fprintf(stderr,
-                                 "cap_scale: nondeterministic rep at "
-                                 "live=%llu\n",
-                                 static_cast<unsigned long long>(
-                                     target));
-                    return 1;
-                }
-            }
-        }
-        best.opsPerSecond =
-            best.bestWallSeconds > 0.0
-                ? static_cast<double>(best.ops) / best.bestWallSeconds
-                : 0.0;
-        if (target == targets.front())
-            base_rate = best.opsPerSecond;
-
-        std::fprintf(stderr,
-                     "%-12llu %12llu %12llu %16llu %10.4f %14.0f\n",
-                     static_cast<unsigned long long>(target),
-                     static_cast<unsigned long long>(best.ops),
-                     static_cast<unsigned long long>(best.totalCaps),
-                     static_cast<unsigned long long>(
-                         best.peakShadowBytes),
-                     best.bestWallSeconds, best.opsPerSecond);
-
-        json::Value row = json::Value::object();
-        row.set("liveTarget", best.liveTarget);
-        row.set("ops", best.ops);
-        row.set("totalCapabilities", best.totalCaps);
-        row.set("liveCapabilities", best.liveCaps);
-        row.set("peakShadowBytes", best.peakShadowBytes);
-        row.set("checksum", best.checksum);
-        row.set("bestWallSeconds", best.bestWallSeconds);
-        row.set("opsPerSecond", best.opsPerSecond);
-        rows.push(std::move(row));
-    }
-    doc.set("rows", std::move(rows));
-    (void)base_rate;
-
-    std::printf("%s\n", doc.dump(2).c_str());
-    return 0;
+    return runScaleBench("chex-bench-capscale-v1", "cap_scale", Seed,
+                         runRep);
 }

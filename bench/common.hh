@@ -1,9 +1,8 @@
 /**
  * @file
- * Shared helpers for the figure/table regeneration harnesses: run a
- * benchmark profile under a variant and collect the RunResult, or
- * fan a (profile × variant/config) sweep out on the campaign
- * driver's worker pool. Two env knobs apply to every harness:
+ * Shared helpers for the figure/table regeneration harnesses: fan a
+ * (profile × config) sweep out on the campaign driver's worker
+ * pool. Two env knobs apply to every harness:
  * CHEX_BENCH_SCALE divides iteration counts for quick smoke runs,
  * and CHEX_BENCH_JOBS caps the pool width (default: all cores). A
  * malformed value of either is fatal. Caching, sharding, isolation
@@ -64,34 +63,6 @@ scale()
     return positiveEnv("CHEX_BENCH_SCALE", 1);
 }
 
-/** Run @p profile under @p cfg; returns the collected results. */
-inline RunResult
-runProfile(const BenchmarkProfile &profile, SystemConfig cfg,
-           uint64_t seed = 1)
-{
-    BenchmarkProfile p = profile.scaledBy(scale());
-    System sys(cfg);
-    sys.load(generateWorkload(p, seed));
-    RunResult r = sys.run();
-    if (!r.exited) {
-        std::fprintf(stderr,
-                     "bench: %s did not exit cleanly (violation=%d)\n",
-                     p.name.c_str(), r.violationDetected ? 1 : 0);
-        std::exit(1);
-    }
-    return r;
-}
-
-/** Run under just a variant kind with default config. */
-inline RunResult
-runVariant(const BenchmarkProfile &profile, VariantKind kind,
-           uint64_t seed = 1)
-{
-    SystemConfig cfg;
-    cfg.variant.kind = kind;
-    return runProfile(profile, cfg, seed);
-}
-
 /** Worker threads for sweeps: $CHEX_BENCH_JOBS, default all cores. */
 inline unsigned
 benchJobs()
@@ -148,28 +119,6 @@ runCampaignJobs(std::vector<driver::JobSpec> jobs, uint64_t seed)
     return results;
 }
 
-/**
- * Run the (profile × variant) sweep on the campaign driver's worker
- * pool. Applies the same CHEX_BENCH_SCALE iteration scaling and the
- * same fixed workload seed as runProfile/runVariant, so the results
- * are identical to the serial helpers — just produced in parallel.
- *
- * Returns results in row-major order:
- * `results[pi * variants.size() + vi]`.
- */
-inline std::vector<RunResult>
-runMatrix(const std::vector<BenchmarkProfile> &profiles,
-          const std::vector<VariantKind> &variants, uint64_t seed = 1)
-{
-    std::vector<BenchmarkProfile> scaled;
-    scaled.reserve(profiles.size());
-    for (const BenchmarkProfile &p : profiles)
-        scaled.push_back(p.scaledBy(scale()));
-
-    return runCampaignJobs(driver::buildMatrix(scaled, variants, seed),
-                           seed);
-}
-
 /** A named full-SystemConfig column for config sweeps. */
 struct ConfigPoint
 {
@@ -178,14 +127,14 @@ struct ConfigPoint
 };
 
 /**
- * Config-sweep variant of runMatrix for harnesses whose columns
- * differ by more than the enforcement variant (cache sizes,
- * predictor entries, ... — fig07/fig08). Same scaling, seeding, env
- * knobs, and row-major order: `results[pi * configs.size() + ci]`.
+ * The (profile × config) job list: @p profiles scaled by
+ * CHEX_BENCH_SCALE, each run under every column of @p configs with
+ * workload seed @p seed, in row-major order
+ * (`jobs[pi * configs.size() + ci]`, labelled "profile/column").
  */
-inline std::vector<RunResult>
-runMatrix(const std::vector<BenchmarkProfile> &profiles,
-          const std::vector<ConfigPoint> &configs, uint64_t seed = 1)
+inline std::vector<driver::JobSpec>
+matrixJobs(const std::vector<BenchmarkProfile> &profiles,
+           const std::vector<ConfigPoint> &configs, uint64_t seed)
 {
     std::vector<driver::JobSpec> jobs;
     jobs.reserve(profiles.size() * configs.size());
@@ -200,7 +149,15 @@ runMatrix(const std::vector<BenchmarkProfile> &profiles,
             jobs.push_back(std::move(spec));
         }
     }
-    return runCampaignJobs(std::move(jobs), seed);
+    return jobs;
+}
+
+/** Run matrixJobs() on the worker pool; results in the same order. */
+inline std::vector<RunResult>
+runMatrix(const std::vector<BenchmarkProfile> &profiles,
+          const std::vector<ConfigPoint> &configs, uint64_t seed = 1)
+{
+    return runCampaignJobs(matrixJobs(profiles, configs, seed), seed);
 }
 
 /**

@@ -14,6 +14,9 @@
  *    per-live-target alias-table op counts, live entries, node
  *    counts, peak/end shadow bytes, result checksum, and host
  *    ops/second.
+ *  - chex-bench-paper-v1 (paper → BENCH_paper.json): the headline
+ *    values and paper-shape claims of the evaluation, and per cell
+ *    the result fields its tables read and the simulated IPC.
  *  - chex-security-report-v1 (chex-campaign attack →
  *    BENCH_security.json): campaign job counts, baseline validity,
  *    escape count, and per-variant attack/detected/anchor counts,
@@ -34,6 +37,7 @@
  *    warns. The security report's rate is its detection rate, a
  *    deterministic output whose every drop is FATAL and called out
  *    by name: it is the regression that comparison exists to catch.
+ *    The paper record's simulated IPC is compared the same way.
  *
  * A field missing from either record is FATAL, never read as 0.
  * Exit status: 0 on match (warnings included), 1 on fatal drift or
@@ -84,6 +88,15 @@ const RecordSchema Schemas[] = {
      {"ops", "liveEntries", "peakShadowBytes", "endShadowBytes",
       "liveNodes", "checksum"},
      "opsPerSecond", "ops/s", false},
+    {"chex-bench-paper-v1", {"seed", "scale"}, {"headline", "claims"},
+     "rows", "label",
+     {"cycles", "uops", "totalAllocations", "maxLiveAllocations",
+      "avgAllocationsInUse", "capCacheMissRate", "aliasCacheMissRate",
+      "aliasPredAccuracy", "reloadMispredictionRate", "p0anFlushes",
+      "pmanForwards", "pna0ZeroIdioms", "squashFraction",
+      "residentBytes", "footprintBytes", "bandwidthMBps",
+      "capChecksInjected"},
+     "ipc", "IPC", true},
     {"chex-security-report-v1", {"campaignSeed"},
      {"attackJobs", "failedJobs", "baseline.checked", "baseline.valid",
       "escaped"},
