@@ -1,12 +1,12 @@
 /**
  * @file
- * Shared helpers for the figure/table regeneration harnesses: fan a
- * (profile × config) sweep out on the campaign driver's worker
- * pool. Two env knobs apply to every harness:
- * CHEX_BENCH_SCALE divides iteration counts for quick smoke runs,
- * and CHEX_BENCH_JOBS caps the pool width (default: all cores). A
- * malformed value of either is fatal. Caching, sharding, isolation
- * and snapshot fan-out are `chex-campaign` flags, not harness knobs.
+ * Shared helpers for the bench binaries: build a (profile × config)
+ * job list and fan it out on the campaign driver's worker pool. Two
+ * env knobs apply to every bench: CHEX_BENCH_SCALE divides
+ * iteration counts for quick smoke runs, and CHEX_BENCH_JOBS caps
+ * the pool width (default: all cores). A malformed value of either
+ * is fatal. Caching, sharding, isolation and snapshot fan-out are
+ * `chex-campaign` flags, not bench knobs.
  */
 
 #ifndef CHEX_BENCH_COMMON_HH
@@ -150,14 +150,6 @@ matrixJobs(const std::vector<BenchmarkProfile> &profiles,
         }
     }
     return jobs;
-}
-
-/** Run matrixJobs() on the worker pool; results in the same order. */
-inline std::vector<RunResult>
-runMatrix(const std::vector<BenchmarkProfile> &profiles,
-          const std::vector<ConfigPoint> &configs, uint64_t seed = 1)
-{
-    return runCampaignJobs(matrixJobs(profiles, configs, seed), seed);
 }
 
 /**

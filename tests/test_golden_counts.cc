@@ -1,8 +1,7 @@
 /**
  * @file
- * Golden retired-work counts for every enforcement variant on the
- * pinned throughput workload (xalancbmk profile, scale 1, seed 1 —
- * the same cell BENCH_throughput.json tracks). The hot-path
+ * Golden retired-work counts for every enforcement variant on one
+ * pinned workload (xalancbmk profile, scale 1, seed 1). The hot-path
  * optimizations (flat shadow-structure lookups, integer stat
  * counters, translation/walk memos) are host-side only: simulated
  * macro-ops, µops, and cycles must not move by even one. Any drift
@@ -10,8 +9,10 @@
  * a correctness bug regardless of how much wall clock it saves.
  *
  * If a deliberate model change shifts these numbers, re-derive the
- * goldens with `micro_throughput` (scale 1) and update both this
- * table and the committed BENCH_throughput.json in the same commit.
+ * goldens from a scale-1 run of each variant (this test's failure
+ * messages print the new values) and regenerate BENCH_paper.json,
+ * whose xalancbmk rows hold the same cell's cycles and µops, in the
+ * same commit.
  */
 
 #include <gtest/gtest.h>
@@ -36,7 +37,6 @@ struct GoldenRow
     uint64_t cycles;
 };
 
-// From micro_throughput at scale 1, seed 1 (xalancbmk profile).
 constexpr GoldenRow kGoldens[] = {
     {VariantKind::Baseline, 478975, 743341, 340500},
     {VariantKind::HardwareOnly, 478975, 753241, 449997},

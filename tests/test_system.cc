@@ -223,5 +223,41 @@ TEST(System, WorkloadProgramRunsCleanly)
                                               : r.violations[0].kind);
 }
 
+TEST(System, DefaultsMatchTableIII)
+{
+    // Every row of the paper's Table III (a Skylake-class core), in
+    // its order. The branch-predictor row names the model (TAGE, as
+    // LTAGE) and carries no number.
+    const SystemConfig s;
+    const CoreConfig &c = s.core;
+    const HierarchyConfig &h = s.hierarchy;
+    EXPECT_DOUBLE_EQ(c.frequencyGHz, 3.4);
+    EXPECT_EQ(c.fetchWidth, 4u); // fused µops
+    EXPECT_EQ(c.issueWidth, 6u); // unfused µops
+    EXPECT_EQ(c.robEntries, 224u);
+    EXPECT_EQ(c.iqEntries, 64u);
+    EXPECT_EQ(c.lqEntries, 72u);
+    EXPECT_EQ(c.sqEntries, 56u);
+    EXPECT_EQ(c.intRegs, 180u);
+    EXPECT_EQ(c.fpRegs, 168u);
+    EXPECT_EQ(c.bpred.rasEntries, 64u);
+    EXPECT_EQ(c.bpred.btbEntries, 4096u);
+    // One L1 geometry serves the I and D caches: 32 KB, 8-way.
+    EXPECT_EQ(h.l1Sets * h.l1Ways * h.lineBytes, 32u * 1024);
+    EXPECT_EQ(h.l1Ways, 8u);
+    EXPECT_EQ(c.intAluUnits, 6u);
+    EXPECT_EQ(c.intMultUnits, 1u);
+    EXPECT_EQ(c.fpAluUnits, 3u);
+    EXPECT_EQ(c.simdUnits, 3u);
+    // The CHEx86 structures (Sections V-B, V-C and VII-A).
+    EXPECT_EQ(s.capCacheEntries, 64u);
+    EXPECT_EQ(s.aliasCache.sets * s.aliasCache.ways, 256u);
+    EXPECT_EQ(s.aliasCache.ways, 2u);
+    EXPECT_EQ(s.aliasCache.victimEntries, 32u);
+    EXPECT_EQ(s.aliasPredictor.entries, 512u);
+    EXPECT_EQ(s.aliasPredictor.confidenceMax, 3); // 2-bit counters
+    EXPECT_EQ(s.maxAllocSize, uint64_t{1} << 30);
+}
+
 } // namespace
 } // namespace chex

@@ -4,9 +4,6 @@
  * two committed benchmark documents of the same schema. Every
  * supported schema is one entry of the table below:
  *
- *  - chex-bench-throughput-v1 (micro_throughput → the committed
- *    BENCH_throughput.json): per-variant retired-work counts and
- *    host µops/second.
  *  - chex-bench-capscale-v1 (cap_scale → BENCH_capscale.json):
  *    per-live-target capability-table op counts, capability totals,
  *    peak shadow bytes, result checksum, and host ops/second.
@@ -75,9 +72,6 @@ struct RecordSchema
 };
 
 const RecordSchema Schemas[] = {
-    {"chex-bench-throughput-v1", {"profile", "scale", "seed"}, {},
-     "variants", "variant", {"macroOps", "uops", "cycles"},
-     "uopsPerSecond", "uops/s", false},
     {"chex-bench-capscale-v1", {"seed", "scale", "churnOps"}, {},
      "rows", "liveTarget",
      {"ops", "totalCapabilities", "liveCapabilities", "peakShadowBytes",
