@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the bench binaries: build a (profile × config)
- * job list and fan it out on the campaign driver's worker pool. Two
+ * job list of workload runs and fan it out on the campaign driver's
+ * worker pool. Attack jobs are `chex-campaign attack`'s. Two
  * env knobs apply to every bench: CHEX_BENCH_SCALE divides
  * iteration counts for quick smoke runs, and CHEX_BENCH_JOBS caps
  * the pool width (default: all cores). A malformed value of either
@@ -82,7 +83,7 @@ benchJobs()
  * column at once.
  */
 inline std::vector<RunResult>
-runCampaignJobs(std::vector<driver::JobSpec> jobs, uint64_t seed)
+runCampaignJobs(const std::vector<driver::JobSpec> &jobs, uint64_t seed)
 {
     driver::CampaignOptions opts;
     opts.seed = seed;
@@ -93,15 +94,7 @@ runCampaignJobs(std::vector<driver::JobSpec> jobs, uint64_t seed)
     results.reserve(report.jobs.size());
     size_t bad = 0;
     for (const driver::JobResult &jr : report.jobs) {
-        // Attack jobs (JobSpec::attack) are *supposed* to end in a
-        // detected violation (enforcement variants) or a hijack
-        // (baseline): both are valid measurements, not broken cells.
-        bool attack_outcome =
-            jr.index < jobs.size() && !jobs[jr.index].attack.empty() &&
-            (jr.run.violationDetected || jr.run.hijackedControlFlow);
-        if (!jr.failed && attack_outcome) {
-            // A concluded exploit measurement.
-        } else if (jr.failed || !jr.run.exited) {
+        if (jr.failed || !jr.run.exited) {
             std::fprintf(stderr,
                          "bench: %s did not complete cleanly%s%s\n",
                          jr.label.c_str(),

@@ -2,6 +2,7 @@
 
 #include "base/fnv.hh"
 #include "base/logging.hh"
+#include "base/member_count.hh"
 #include "sim/config_hash.hh"
 
 namespace chex
@@ -11,6 +12,10 @@ namespace driver
 
 namespace
 {
+
+// hashProfile() hashes every member; a new one fails here until it
+// is hashed and the count is raised.
+static_assert(memberCount<BenchmarkProfile> == 15);
 
 void
 hashProfile(TaggedHasher &h, const BenchmarkProfile &p)

@@ -16,9 +16,12 @@
  *
  * The hash is a tagged FNV-1a over a canonical little-endian byte
  * stream (each field is emitted as "name\0" + 8 value bytes), so it
- * is stable across runs, platforms, and struct-layout changes.
- * Adding a SystemConfig/BenchmarkProfile field requires extending
- * specHash(); the unit tests pin known inputs to guard the encoding.
+ * is stable across runs, platforms, and struct-layout changes. A
+ * field added to BenchmarkProfile or SystemConfig fails the build
+ * until it is hashed (the member-count static_asserts beside
+ * hashProfile() and hashSystemConfig()), and
+ * SpecHash.ByteStreamIsPinned pins the digests of a workload spec
+ * and an attack spec.
  *
  * Jobs with a `body` override are NOT content-hashable — the
  * std::function hides arbitrary behaviour — so the driver records

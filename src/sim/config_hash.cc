@@ -1,7 +1,23 @@
 #include "config_hash.hh"
 
+#include "base/member_count.hh"
+
 namespace chex
 {
+// Every member of each struct below is hashed. A new member changes
+// its struct's count and fails here until hashSystemConfig() feeds it
+// and the count is raised.
+static_assert(memberCount<SystemConfig> == 13);
+static_assert(memberCount<CoreConfig> == 21);
+// 6 scalars + historyLengths[4], counted per element.
+static_assert(memberCount<BranchPredictorConfig> == 10);
+static_assert(memberCount<HierarchyConfig> == 8);
+static_assert(memberCount<VariantConfig> == 5);
+static_assert(memberCount<CodeRegion> == 2);
+static_assert(memberCount<AliasPredictorConfig> == 4);
+static_assert(memberCount<AliasCacheConfig> == 3);
+static_assert(memberCount<AsanConfig> == 3);
+
 void
 hashSystemConfig(TaggedHasher &h, const SystemConfig &cfg)
 {

@@ -10,8 +10,10 @@
  * so a snapshot can pin the exact machine configuration it was taken
  * under and reject restoration into anything else.
  *
- * Adding a SystemConfig field requires extending hashSystemConfig();
- * the driver unit tests pin known inputs to guard the encoding.
+ * A field added to SystemConfig or a struct it holds fails the build
+ * until hashSystemConfig() hashes it: config_hash.cc static_asserts
+ * each struct's member count (base/member_count.hh). The test
+ * SpecHash.ByteStreamIsPinned pins the digest of the default config.
  */
 
 #ifndef CHEX_SIM_CONFIG_HASH_HH

@@ -154,13 +154,6 @@ SpeculativePointerTracker::tagRegister(RegId reg, Pid pid, uint64_t seq)
 }
 
 void
-SpeculativePointerTracker::invalidateAlias(uint64_t addr)
-{
-    cache.invalidate(addr >> 6);
-    ++statRemoteInvalidations;
-}
-
-void
 SpeculativePointerTracker::clearAliasRange(uint64_t addr, uint64_t len)
 {
     if (len == 0)

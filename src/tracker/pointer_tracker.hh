@@ -89,12 +89,6 @@ class SpeculativePointerTracker
     void squashAfter(uint64_t seq) { tags.squashAfter(seq); }
 
     /**
-     * Cross-core alias-cache invalidation for a remote store to a
-     * spilled-pointer word (multithreaded coherence, Section V-C).
-     */
-    void invalidateAlias(uint64_t addr);
-
-    /**
      * Clear alias entries in [addr, addr+len): used when runtime
      * routines (allocator metadata writes, memset/memcpy) overwrite
      * words that previously held spilled pointers.

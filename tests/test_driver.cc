@@ -49,6 +49,7 @@
 #include "driver/report.hh"
 #include "driver/spec_hash.hh"
 #include "driver/subprocess.hh"
+#include "sim/config_hash.hh"
 #include "sim/system.hh"
 #include "snapshot/snapshot.hh"
 #include "workload/generator.hh"
@@ -909,6 +910,28 @@ TEST(SpecHash, DeterministicAndSensitiveToEveryInput)
     EXPECT_EQ(driver::specHash(f, 42), h);
 }
 
+TEST(SpecHash, ByteStreamIsPinned)
+{
+    // Literal digests of the hash byte streams. Any change to the
+    // encoding (a field added, dropped, renamed or reordered) moves
+    // them, and with them every cache key and snapshot config pin,
+    // so it must be a deliberate one.
+    driver::JobSpec workload;
+    workload.profile = profileByName("mcf");
+    EXPECT_EQ(driver::specHashHex(driver::specHash(workload, 1)),
+              "6f620a4666ddbe1a");
+
+    driver::JobSpec attack;
+    attack.attack = "how2heap/fastbin_dup";
+    attack.profile = attackProfile();
+    attack.config.variant.kind = VariantKind::MicrocodePrediction;
+    EXPECT_EQ(driver::specHashHex(driver::specHash(attack, 1)),
+              "23fb46944990a271");
+
+    EXPECT_EQ(driver::specHashHex(configHash(SystemConfig{})),
+              "8050d784013a30c1");
+}
+
 TEST(SpecHash, HexRoundTrips)
 {
     const uint64_t h = 0xdeadbeef01234567ull;
@@ -1195,8 +1218,9 @@ TEST(Shard, ShardReportJsonRoundTrips)
         const json::Value &job = jarr.at(i);
         EXPECT_EQ(job.at("status").str(),
                   i % 2 == 0 ? "ok" : "skipped");
-        if (i % 2 != 0)
+        if (i % 2 != 0) {
             EXPECT_EQ(job.find("result"), nullptr);
+        }
     }
 
     driver::CampaignReport back;

@@ -3,13 +3,13 @@
  * Security evaluation tests (Section VII-A): every exploit in the
  * RIPE-style sweep, the ASan-style unit suite, and the
  * How2Heap-style suite must be flagged by the prediction-driven
- * microcode variant with the expected anchor violation — and a
- * representative set must demonstrably *succeed* (corrupt state)
- * on the insecure baseline, proving the exploits are real.
+ * microcode variant with the expected anchor violation — and each
+ * must demonstrably *succeed* (corrupt state) on the insecure
+ * baseline, proving the exploits are real.
  *
  * The cases come through the central attack registry
- * (attacks/registry.hh), the same API the campaign driver and the
- * bench harness resolve attack IDs against.
+ * (attacks/registry.hh), the same API the campaign driver resolves
+ * attack IDs against.
  */
 
 #include <gtest/gtest.h>
@@ -64,12 +64,10 @@ expectBaselineSucceeds(const AttackCase &attack)
     sys.load(attack.program);
     RunResult r = sys.run();
     EXPECT_FALSE(r.violationDetected);
-    if (attack.indicatorAddr != 0) {
-        uint64_t got = sys.memory().read(attack.indicatorAddr, 8);
-        EXPECT_EQ(got, attack.indicatorExpect)
-            << attack.suite << "/" << attack.name
-            << ": exploit did not succeed on the insecure baseline";
-    }
+    uint64_t got = sys.memory().read(attack.indicatorAddr, 8);
+    EXPECT_EQ(got, attack.indicatorExpect)
+        << attack.suite << "/" << attack.name
+        << ": exploit did not succeed on the insecure baseline";
 }
 
 class AsanSuiteTest : public ::testing::TestWithParam<size_t>
@@ -141,7 +139,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Security, How2HeapHas18Cases)
 {
+    // The suite sizes of the paper's Section VII-A table, and every
+    // case carries the corruption indicator its baseline test reads.
+    EXPECT_EQ(suiteCases("ripe").size(), 114u);
+    EXPECT_EQ(suiteCases("asan").size(), 18u);
     EXPECT_EQ(suiteCases("how2heap").size(), 18u);
+    for (const AttackSuite &suite : attackSuites())
+        for (const AttackCase &attack : suite.cases)
+            EXPECT_NE(attack.indicatorAddr, 0u)
+                << attackCaseId(attack) << " has no corruption indicator";
 }
 
 TEST(Security, AllVariantsOfChex86DetectFastbinDup)
