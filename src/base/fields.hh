@@ -303,32 +303,30 @@ struct FixedLength
 };
 
 /**
- * A fixed-size slot array written sparsely: the entries whose
- * `valid` flag is set, as {"slot": index, <members list names>}
- * objects in ascending slot order (which slots hold an entry is
- * state, not just which entries exist). list(entry, f) names an
- * entry's members. Reading clears every slot first and rejects a
- * slot out of range or not above the previous one.
+ * A slot table (base/slot_table.hh) written sparsely: its valid
+ * slots, as {"slot": index, <members list names>} objects in
+ * ascending slot order (which slots hold an entry is state, not just
+ * which entries exist). list(entry, f) names an entry's members.
+ * Reading invalidates every slot first, zeroes each slot it reads
+ * before its members, and rejects a slot out of range or not above
+ * the previous one.
  */
-template <typename V, typename L>
+template <typename T, typename L>
 struct ValidSlots
 {
-    V &slots;
+    T &table;
     L list;
 
     Value
     encode() const
     {
         Value out = Value::array();
-        for (uint64_t i = 0; i < slots.size(); ++i) {
-            const auto &entry = slots[i];
-            if (entry.valid) {
-                out.push(encodeObject([&](auto &f) {
-                    f("slot", i);
-                    list(entry, f);
-                }));
-            }
-        }
+        table.forEachValid([&](uint64_t i) {
+            out.push(encodeObject([&](auto &f) {
+                f("slot", i);
+                list(table[i], f);
+            }));
+        });
         return out;
     }
 
@@ -337,25 +335,25 @@ struct ValidSlots
     {
         if (!v.isArray())
             return reject(why, " is not an array");
-        for (auto &entry : slots)
-            entry = {};
+        table.clear();
         size_t lowest = 0;
         for (size_t i = 0; i < v.size(); ++i) {
             const Value &item = v.items()[i];
             uint64_t slot = 0;
             bool ok = decodeObject(
                 item, [&](auto &f) { f("slot", slot); }, why);
-            if (ok && (slot < lowest || slot >= slots.size())) {
+            if (ok && (slot < lowest || slot >= table.size())) {
                 ok = reject(why, ".slot is out of range or not above "
                                  "the previous slot");
             }
             if (ok) {
+                table[slot] = {};
                 ok = decodeObject(
-                    item, [&](auto &f) { list(slots[slot], f); }, why);
+                    item, [&](auto &f) { list(table[slot], f); }, why);
             }
             if (!ok)
                 return reject(why, "[" + std::to_string(i) + "]" + *why);
-            slots[slot].valid = true;
+            table.setValid(slot);
             lowest = slot + 1;
         }
         return true;

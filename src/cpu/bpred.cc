@@ -8,14 +8,15 @@ namespace chex
 BranchPredictor::BranchPredictor(const BranchPredictorConfig &cfg_in)
     : cfg(cfg_in),
       bimodal(cfg.bimodalEntries, 1), // weakly not-taken
-      tagged(cfg.taggedTables,
-             std::vector<TaggedEntry>(cfg.taggedEntries)),
       btb(cfg.btbEntries),
       ras(cfg.rasEntries, 0),
       foldIdx(cfg.taggedTables, 0),
       foldTagA(cfg.taggedTables, 0),
       foldTagB(cfg.taggedTables, 0)
 {
+    tagged.reserve(cfg.taggedTables);
+    for (unsigned t = 0; t < cfg.taggedTables; ++t)
+        tagged.emplace_back(cfg.taggedEntries);
     while ((1u << taggedIdxBits) < cfg.taggedEntries)
         ++taggedIdxBits;
 }
@@ -77,7 +78,7 @@ BranchPredictor::predictDirection(uint64_t pc, int *provider,
     for (int t = static_cast<int>(cfg.taggedTables) - 1; t >= 0; --t) {
         unsigned idx = taggedIndex(pc, t);
         const TaggedEntry &e = tagged[t][idx];
-        if (e.valid && e.tag == taggedTag(pc, t)) {
+        if (tagged[t].valid(idx) && e.tag == taggedTag(pc, t)) {
             *provider = t;
             *provider_index = idx;
             return e.ctr >= 0;
@@ -112,8 +113,9 @@ BranchPredictor::predict(uint64_t pc, bool is_call, bool is_return,
     }
 
     if (pred.taken) {
-        const BtbEntry &e = btb[(pc >> 2) % cfg.btbEntries];
-        if (e.valid && e.tag == pc) {
+        size_t idx = (pc >> 2) % cfg.btbEntries;
+        const BtbEntry &e = btb[idx];
+        if (btb.valid(idx) && e.tag == pc) {
             pred.target = e.target;
             pred.targetKnown = true;
         }
@@ -163,11 +165,10 @@ BranchPredictor::update(uint64_t pc, bool taken, uint64_t target,
             for (unsigned t = start; t < cfg.taggedTables; ++t) {
                 unsigned idx = taggedIndex(pc, t);
                 TaggedEntry &e = tagged[t][idx];
-                if (!e.valid || e.useful == 0) {
-                    e.valid = true;
-                    e.tag = taggedTag(pc, t);
-                    e.ctr = taken ? 0 : -1;
-                    e.useful = 0;
+                if (!tagged[t].valid(idx) || e.useful == 0) {
+                    tagged[t].setValid(idx);
+                    e = {taggedTag(pc, t),
+                         static_cast<int8_t>(taken ? 0 : -1), 0};
                     break;
                 }
                 if (e.useful > 0)
@@ -180,14 +181,12 @@ BranchPredictor::update(uint64_t pc, bool taken, uint64_t target,
     }
 
     if (taken) {
-        BtbEntry &e = btb[(pc >> 2) % cfg.btbEntries];
-        if (!e.valid || e.tag != pc || e.target != target) {
-            if (e.valid && e.tag == pc && e.target != target)
-                ++numTargetWrong;
-            e.valid = true;
-            e.tag = pc;
-            e.target = target;
-        }
+        size_t idx = (pc >> 2) % cfg.btbEntries;
+        BtbEntry &e = btb[idx];
+        if (btb.valid(idx) && e.tag == pc && e.target != target)
+            ++numTargetWrong;
+        btb.setValid(idx);
+        e = {pc, target};
     }
 }
 

@@ -13,10 +13,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "base/base64.hh"
 #include "base/fields.hh"
+#include "base/slot_table.hh"
 
 namespace chex
 {
@@ -110,17 +112,18 @@ class BranchPredictor
   private:
     struct TaggedEntry
     {
-        uint16_t tag = 0;
-        int8_t ctr = 0;   // signed 3-bit counter, taken when >= 0
-        uint8_t useful = 0;
-        bool valid = false;
+        uint16_t tag;
+        int8_t ctr; // signed 3-bit counter, taken when >= 0
+        uint8_t useful;
     };
     struct BtbEntry
     {
-        uint64_t tag = 0;
-        uint64_t target = 0;
-        bool valid = false;
+        uint64_t tag;
+        uint64_t target;
     };
+    // Kept in uninitialised storage: a member initialiser would zero it.
+    static_assert(std::is_trivially_default_constructible_v<TaggedEntry>);
+    static_assert(std::is_trivially_default_constructible_v<BtbEntry>);
 
     unsigned bimodalIndex(uint64_t pc) const;
     unsigned taggedIndex(uint64_t pc, unsigned table) const;
@@ -133,8 +136,8 @@ class BranchPredictor
 
     BranchPredictorConfig cfg;
     std::vector<uint8_t> bimodal; // 2-bit counters
-    std::vector<std::vector<TaggedEntry>> tagged;
-    std::vector<BtbEntry> btb;
+    std::vector<SlotTable<TaggedEntry>> tagged;
+    SlotTable<BtbEntry> btb;
     std::vector<uint64_t> ras;
     size_t rasTop = 0;
 

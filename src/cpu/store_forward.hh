@@ -13,10 +13,12 @@
  *    its threshold, bounding the modelled store-queue history),
  * so simulated cycle assignments are bit-identical.
  *
- * Linear probing over a power-of-two slot array sized so the load
- * factor stays at or below ~0.5 before the core's clear threshold
- * fires. clear() is O(1): slots carry an epoch stamp and a slot is
- * live only when its stamp matches the current epoch.
+ * Linear probing over a power-of-two slot array that starts at
+ * 64 slots and doubles (rehashing) whenever an insertion would take
+ * the load factor past 0.5, up to Capacity — so a short run never
+ * allocates the slots a long one needs. clear() is O(1) and keeps
+ * the slots: each carries an epoch stamp and is live only when its
+ * stamp matches the current epoch.
  */
 
 #ifndef CHEX_CPU_STORE_FORWARD_HH
@@ -38,38 +40,37 @@ namespace chex
 class StoreForwardTable
 {
   public:
-    /** Slot count; must exceed 2x the core's clear threshold. */
+    /** The largest slot count; at least 2x the core's clear
+     * threshold, so the load stays at about 0.5 or below. */
     static constexpr size_t Capacity = 16384;
+    /** The slot count a table starts with. */
+    static constexpr size_t InitialSlots = 64;
     /** The core's clear threshold: it clears the table once it holds
      * more words than this, bounding the modelled store history. */
     static constexpr size_t MaxWords = 8192;
 
-    StoreForwardTable() : slots(Capacity) {}
+    StoreForwardTable() : slots(InitialSlots), mask(InitialSlots - 1) {}
 
     /** Ready cycle for @p word, or nullptr when not present. */
     const uint64_t *
     lookup(uint64_t word) const
     {
-        size_t idx = home(word);
-        while (slots[idx].epoch == epoch) {
-            if (slots[idx].word == word)
-                return &slots[idx].ready;
-            idx = (idx + 1) & (Capacity - 1);
-        }
-        return nullptr;
+        const Slot &s = slots[find(word)];
+        return s.epoch == epoch ? &s.ready : nullptr;
     }
 
     /** Insert or overwrite @p word's ready cycle. */
     void
     insert(uint64_t word, uint64_t ready)
     {
-        size_t idx = home(word);
-        while (slots[idx].epoch == epoch) {
-            if (slots[idx].word == word) {
-                slots[idx].ready = ready;
-                return;
-            }
-            idx = (idx + 1) & (Capacity - 1);
+        size_t idx = find(word);
+        if (slots[idx].epoch == epoch) {
+            slots[idx].ready = ready;
+            return;
+        }
+        if (2 * (_size + 1) > mask + 1 && mask + 1 < Capacity) {
+            grow();
+            idx = find(word);
         }
         slots[idx] = {word, ready, epoch};
         ++_size;
@@ -77,6 +78,9 @@ class StoreForwardTable
 
     /** Number of distinct words present. */
     size_t size() const { return _size; }
+
+    /** Number of slots allocated. */
+    size_t slotCount() const { return slots.size(); }
 
     /** Drop every entry in O(1) by advancing the epoch. */
     void
@@ -138,14 +142,32 @@ class StoreForwardTable
         uint64_t epoch = 0; // live iff == table epoch (which starts at 1)
     };
 
+    /** The slot holding @p word, or the free slot ending its probe
+     * chain. */
     size_t
-    home(uint64_t word) const
+    find(uint64_t word) const
     {
-        return static_cast<size_t>(word * 0x9e3779b97f4a7c15ull >> 32) &
-               (Capacity - 1);
+        size_t idx =
+            static_cast<size_t>(word * 0x9e3779b97f4a7c15ull >> 32) & mask;
+        while (slots[idx].epoch == epoch && slots[idx].word != word)
+            idx = (idx + 1) & mask;
+        return idx;
     }
 
-    std::vector<Slot> slots;
+    /** Double the slot array, rehashing the live words. */
+    void
+    grow()
+    {
+        std::vector<Slot> old(2 * slots.size());
+        old.swap(slots);
+        mask = slots.size() - 1;
+        for (const Slot &s : old)
+            if (s.epoch == epoch)
+                slots[find(s.word)] = s;
+    }
+
+    std::vector<Slot> slots; // fresh slots have epoch 0: never live
+    size_t mask;             // slots.size() - 1
     uint64_t epoch = 1;
     size_t _size = 0;
 };

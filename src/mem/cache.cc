@@ -10,7 +10,7 @@ SetAssocCache::SetAssocCache(const std::string &name, unsigned num_sets,
                              unsigned ways)
     : _numSets(num_sets),
       _ways(ways),
-      entries(static_cast<size_t>(num_sets) * ways),
+      slots(num_sets, ways),
       _stats(name),
       _hits(_stats.addScalar("hits", "lookups that hit")),
       _misses(_stats.addScalar("misses", "lookups that missed")),
@@ -42,60 +42,61 @@ SetAssocCache::setIndex(uint64_t key) const
     return mixed % _numSets;
 }
 
+unsigned
+SetAssocCache::wayOf(unsigned set, uint64_t key) const
+{
+    return slots.find(set, [key](const Entry &e) { return e.key == key; });
+}
+
 bool
 SetAssocCache::access(uint64_t key)
 {
     unsigned set = setIndex(key);
-    Entry *base = &entries[static_cast<size_t>(set) * _ways];
-    for (unsigned w = 0; w < _ways; ++w) {
-        if (base[w].valid && base[w].key == key) {
-            base[w].lastUse = ++useCounter;
-            ++_hits;
-            return true;
-        }
+    unsigned way = wayOf(set, key);
+    if (way == _ways) {
+        ++_misses;
+        return false;
     }
-    ++_misses;
-    return false;
+    slots.at(set, way).lastUse = ++useCounter;
+    ++_hits;
+    return true;
 }
 
 bool
 SetAssocCache::probe(uint64_t key) const
 {
-    unsigned set = setIndex(key);
-    const Entry *base = &entries[static_cast<size_t>(set) * _ways];
-    for (unsigned w = 0; w < _ways; ++w)
-        if (base[w].valid && base[w].key == key)
-            return true;
-    return false;
+    return wayOf(setIndex(key), key) != _ways;
 }
 
 std::optional<uint64_t>
 SetAssocCache::insert(uint64_t key)
 {
     unsigned set = setIndex(key);
-    Entry *base = &entries[static_cast<size_t>(set) * _ways];
-    Entry *lru = &base[0];
-    for (unsigned w = 0; w < _ways; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.key == key) {
-            e.lastUse = ++useCounter;
+    // A hit is looked for only below the first invalid way, which
+    // the key fills otherwise: a copy of it above a hole that an
+    // invalidation left is not seen. A full set evicts its least
+    // recently used way, the lowest one on a tie. Which slot holds a
+    // key is snapshot state, so these choices are part of the format.
+    unsigned way = slots.firstFree(set);
+    Entry *entries = &slots.at(set, 0);
+    unsigned lru = 0;
+    for (unsigned w = 0; w < way; ++w) {
+        if (entries[w].key == key) {
+            entries[w].lastUse = ++useCounter;
             return std::nullopt;
         }
-        if (!e.valid) {
-            lru = &e;
-            break;
-        }
-        if (e.lastUse < lru->lastUse)
-            lru = &e;
+        if (entries[w].lastUse < entries[lru].lastUse)
+            lru = w;
     }
     std::optional<uint64_t> evicted;
-    if (lru->valid) {
-        evicted = lru->key;
+    if (way < _ways) {
+        slots.setValid(set, way);
+    } else {
+        way = lru;
+        evicted = entries[way].key;
         ++_evictions;
     }
-    lru->key = key;
-    lru->valid = true;
-    lru->lastUse = ++useCounter;
+    entries[way] = {key, ++useCounter};
     return evicted;
 }
 
@@ -103,32 +104,24 @@ bool
 SetAssocCache::invalidate(uint64_t key)
 {
     unsigned set = setIndex(key);
-    Entry *base = &entries[static_cast<size_t>(set) * _ways];
-    for (unsigned w = 0; w < _ways; ++w) {
-        if (base[w].valid && base[w].key == key) {
-            base[w].valid = false;
-            ++_invalidations;
-            return true;
-        }
-    }
-    return false;
+    unsigned way = wayOf(set, key);
+    if (way == _ways)
+        return false;
+    slots.resetValid(set, way);
+    ++_invalidations;
+    return true;
 }
 
 void
 SetAssocCache::clear()
 {
-    for (auto &e : entries)
-        e.valid = false;
+    slots.clear();
 }
 
 unsigned
 SetAssocCache::occupancy() const
 {
-    unsigned n = 0;
-    for (const auto &e : entries)
-        if (e.valid)
-            ++n;
-    return n;
+    return static_cast<unsigned>(slots.count());
 }
 
 VictimAugmentedCache::VictimAugmentedCache(const std::string &name,

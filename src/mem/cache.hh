@@ -17,9 +17,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "base/fields.hh"
+#include "base/slot_table.hh"
 #include "base/stats.hh"
 
 namespace chex
@@ -78,10 +79,10 @@ class SetAssocCache
     stats::StatGroup &statGroup() { return _stats; }
 
     /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
-     * Valid entries only, each with its flat array index — insert()
-     * prefers the first invalid slot in way order, so which slots
-     * are valid (not just which keys are resident) is timing state.
-     * Decoding rejects a geometry mismatch. */
+     * Valid entries only, each with its flat index set * ways + way
+     * — insert() prefers the first invalid slot in way order, so
+     * which slots are valid (not just which keys are resident) is
+     * timing state. Decoding rejects a geometry mismatch. */
     template <typename S, typename F>
     static void
     fields(S &s, F &&f)
@@ -89,7 +90,7 @@ class SetAssocCache
         f("sets", json::Pinned{s._numSets});
         f("ways", json::Pinned{s._ways});
         f("useCounter", s.useCounter);
-        f("entries", json::ValidSlots{s.entries, [](auto &e, auto &g) {
+        f("entries", json::ValidSlots{s.slots, [](auto &e, auto &g) {
                                           g("key", e.key);
                                           g("lastUse", e.lastUse);
                                       }});
@@ -103,12 +104,15 @@ class SetAssocCache
   private:
     struct Entry
     {
-        uint64_t key = 0;
-        bool valid = false;
-        uint64_t lastUse = 0;
+        uint64_t key;
+        uint64_t lastUse;
     };
+    // Kept in uninitialised storage: a member initialiser would zero it.
+    static_assert(std::is_trivially_default_constructible_v<Entry>);
 
     unsigned setIndex(uint64_t key) const;
+    /** The lowest valid way of @p set holding @p key, or ways(). */
+    unsigned wayOf(unsigned set, uint64_t key) const;
 
     unsigned _numSets;
     unsigned _ways;
@@ -116,7 +120,7 @@ class SetAssocCache
     // in setIndex() reduces to this mask (bit-identical mapping);
     // zero means "not a power of two, use the divide".
     unsigned _setMask = 0;
-    std::vector<Entry> entries; // numSets * ways
+    SlotTable<Entry> slots; // one row per set
     uint64_t useCounter = 0;
 
     stats::StatGroup _stats;

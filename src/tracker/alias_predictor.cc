@@ -42,16 +42,19 @@ AliasPredictor::predict(uint64_t pc) const
 {
     AliasPrediction pred;
 
-    const BlacklistEntry &bl = blacklist[indexOf(pc, cfg.blacklistEntries)];
-    if (bl.valid && bl.tag == pc && bl.confidence >= cfg.predictThreshold)
+    unsigned bi = indexOf(pc, cfg.blacklistEntries);
+    const BlacklistEntry &bl = blacklist[bi];
+    if (blacklist.valid(bi) && bl.tag == pc &&
+        bl.confidence >= cfg.predictThreshold)
         return pred; // confidently a data load
 
     // A matching entry always predicts a reload: even when the
     // stride confidence is low, predicting *some* PID turns a
     // would-be P0AN pipeline flush into a cheap PMAN forward
     // (Figure 5e). Low confidence just falls back to the last PID.
-    const Entry &e = table[indexOf(pc, cfg.entries)];
-    if (e.valid && e.tag == pc) {
+    unsigned ti = indexOf(pc, cfg.entries);
+    const Entry &e = table[ti];
+    if (table.valid(ti) && e.tag == pc) {
         pred.isReload = true;
         pred.pid = e.confidence >= cfg.predictThreshold
                        ? static_cast<Pid>(
@@ -86,34 +89,34 @@ AliasPredictor::update(uint64_t pc, const AliasPrediction &predicted,
     ++outcomes[static_cast<unsigned>(outcome)];
 
     // Train the blacklist.
-    BlacklistEntry &bl = blacklist[indexOf(pc, cfg.blacklistEntries)];
+    unsigned bi = indexOf(pc, cfg.blacklistEntries);
+    BlacklistEntry &bl = blacklist[bi];
+    bool bl_hit = blacklist.valid(bi) && bl.tag == pc;
     if (actual == NoPid) {
-        if (bl.valid && bl.tag == pc) {
+        if (bl_hit) {
             if (bl.confidence < cfg.confidenceMax)
                 ++bl.confidence;
-        } else if (!bl.valid || bl.confidence == 0) {
-            bl.valid = true;
-            bl.tag = pc;
-            bl.confidence = 1;
+        } else if (!blacklist.valid(bi) || bl.confidence == 0) {
+            blacklist.setValid(bi);
+            bl = {pc, 1};
         } else {
             --bl.confidence; // aging of the resident entry
         }
-    } else if (bl.valid && bl.tag == pc) {
+    } else if (bl_hit) {
         if (bl.confidence > 0)
             --bl.confidence;
         else
-            bl.valid = false;
+            blacklist.resetValid(bi);
     }
 
     // Train the stride table.
-    Entry &e = table[indexOf(pc, cfg.entries)];
+    unsigned ti = indexOf(pc, cfg.entries);
+    Entry &e = table[ti];
+    bool hit = table.valid(ti) && e.tag == pc;
     if (actual != NoPid) {
-        if (!e.valid || e.tag != pc) {
-            e.valid = true;
-            e.tag = pc;
-            e.lastPid = actual;
-            e.stride = 0;
-            e.confidence = 1;
+        if (!hit) {
+            table.setValid(ti);
+            e = {pc, actual, 0, 1};
         } else {
             int64_t observed = static_cast<int64_t>(actual) -
                                static_cast<int64_t>(e.lastPid);
@@ -128,7 +131,7 @@ AliasPredictor::update(uint64_t pc, const AliasPrediction &predicted,
             }
             e.lastPid = actual;
         }
-    } else if (e.valid && e.tag == pc && e.confidence > 0) {
+    } else if (hit && e.confidence > 0) {
         --e.confidence;
     }
 
@@ -155,10 +158,8 @@ AliasPredictor::reloadMispredictionRate() const
 void
 AliasPredictor::clear()
 {
-    for (auto &e : table)
-        e = Entry{};
-    for (auto &bl : blacklist)
-        bl = BlacklistEntry{};
+    table.clear();
+    blacklist.clear();
     numPredictions = 0;
     numCorrect = 0;
     for (auto &o : outcomes)

@@ -12,9 +12,10 @@
 #define CHEX_TRACKER_ALIAS_PREDICTOR_HH
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "base/fields.hh"
+#include "base/slot_table.hh"
 #include "cap/capability.hh"
 
 namespace chex
@@ -110,24 +111,25 @@ class AliasPredictor
   private:
     struct Entry
     {
-        uint64_t tag = 0;
-        Pid lastPid = NoPid;
-        int64_t stride = 0;
-        uint8_t confidence = 0;
-        bool valid = false;
+        uint64_t tag;
+        Pid lastPid;
+        int64_t stride;
+        uint8_t confidence;
     };
     struct BlacklistEntry
     {
-        uint64_t tag = 0;
-        uint8_t confidence = 0;
-        bool valid = false;
+        uint64_t tag;
+        uint8_t confidence;
     };
+    // Kept in uninitialised storage: a member initialiser would zero it.
+    static_assert(std::is_trivially_default_constructible_v<Entry>);
+    static_assert(std::is_trivially_default_constructible_v<BlacklistEntry>);
 
     unsigned indexOf(uint64_t pc, unsigned size) const;
 
     AliasPredictorConfig cfg;
-    std::vector<Entry> table;
-    std::vector<BlacklistEntry> blacklist;
+    SlotTable<Entry> table;
+    SlotTable<BlacklistEntry> blacklist;
 
     uint64_t numPredictions = 0;
     uint64_t numCorrect = 0;

@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "base/random.hh"
 #include "mem/alias_table.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
@@ -191,6 +197,168 @@ TEST(Cache, OccupancyAndClear)
     EXPECT_LE(c.occupancy(), 16u);
     c.clear();
     EXPECT_EQ(c.occupancy(), 0u);
+}
+
+/**
+ * The cache as it was before validity moved into per-set masks: a
+ * valid flag in every entry, scanned in way order. insert() stops at
+ * the first invalid way, so it neither looks for a hit above it nor
+ * evicts while a way is free.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(unsigned sets, unsigned ways)
+        : sets(sets), ways(ways), entries(static_cast<size_t>(sets) * ways)
+    {
+    }
+
+    bool
+    access(uint64_t key)
+    {
+        for (Entry &e : set(key)) {
+            if (e.valid && e.key == key) {
+                e.lastUse = ++useCounter;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    bool
+    probe(uint64_t key)
+    {
+        for (Entry &e : set(key))
+            if (e.valid && e.key == key)
+                return true;
+        return false;
+    }
+
+    std::optional<uint64_t>
+    insert(uint64_t key)
+    {
+        std::span<Entry> s = set(key);
+        Entry *lru = &s[0];
+        for (Entry &e : s) {
+            if (e.valid && e.key == key) {
+                e.lastUse = ++useCounter;
+                return std::nullopt;
+            }
+            if (!e.valid) {
+                lru = &e;
+                break;
+            }
+            if (e.lastUse < lru->lastUse)
+                lru = &e;
+        }
+        std::optional<uint64_t> evicted;
+        if (lru->valid)
+            evicted = lru->key;
+        *lru = {key, true, ++useCounter};
+        return evicted;
+    }
+
+    bool
+    invalidate(uint64_t key)
+    {
+        for (Entry &e : set(key)) {
+            if (e.valid && e.key == key) {
+                e.valid = false;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    void
+    clear()
+    {
+        for (Entry &e : entries)
+            e.valid = false;
+    }
+
+    /** The snapshot's "entries" list: valid slots, ascending. */
+    json::Value
+    slots() const
+    {
+        json::Value out = json::Value::array();
+        for (uint64_t i = 0; i < entries.size(); ++i) {
+            if (entries[i].valid) {
+                json::Value e = json::Value::object();
+                e.set("slot", i);
+                e.set("key", entries[i].key);
+                e.set("lastUse", entries[i].lastUse);
+                out.push(e);
+            }
+        }
+        return out;
+    }
+
+  private:
+    struct Entry
+    {
+        uint64_t key = 0;
+        bool valid = false;
+        uint64_t lastUse = 0;
+    };
+
+    std::span<Entry>
+    set(uint64_t key)
+    {
+        // SetAssocCache::setIndex's mapping.
+        unsigned index = sets == 1 ? 0
+                                   : static_cast<unsigned>(
+                                         key * 0x9e3779b97f4a7c15ull >> 32) %
+                                         sets;
+        return {&entries[static_cast<size_t>(index) * ways], ways};
+    }
+
+    unsigned sets;
+    unsigned ways;
+    std::vector<Entry> entries;
+    uint64_t useCounter = 0;
+};
+
+TEST(Cache, MatchesPerEntryValidReference)
+{
+    // The default geometries (L1s, L2, cap$, alias cache main and
+    // victim), the 128-entry cap$ of the Figure 7 ablation, and an
+    // odd one whose sets span two mask words.
+    const std::pair<unsigned, unsigned> geometries[] = {
+        {64, 8}, {1024, 16}, {1, 64}, {128, 2}, {1, 32}, {1, 128}, {3, 96}};
+    for (auto [sets, ways] : geometries) {
+        SCOPED_TRACE(std::to_string(sets) + "x" + std::to_string(ways));
+        SetAssocCache cache("c", sets, ways);
+        ReferenceCache ref(sets, ways);
+        Random rng(sets * 131 + ways);
+        // Twice as many keys as slots: hits, misses, evictions and
+        // re-inserts of a key resident above a hole all happen.
+        const uint64_t keys = 2ull * sets * ways;
+        const int ops = 20 * static_cast<int>(sets * ways) + 2000;
+        const int check_every = std::max(997, ops / 16);
+        for (int op = 0; op < ops; ++op) {
+            uint64_t key = rng.uniform(0, keys - 1);
+            unsigned kind = static_cast<unsigned>(rng.uniform(0, 999));
+            if (kind < 350) {
+                ASSERT_EQ(cache.access(key), ref.access(key)) << op;
+            } else if (kind < 700) {
+                ASSERT_EQ(cache.insert(key), ref.insert(key)) << op;
+            } else if (kind < 950) {
+                ASSERT_EQ(cache.invalidate(key), ref.invalidate(key)) << op;
+            } else if (kind < 999) {
+                ASSERT_EQ(cache.probe(key), ref.probe(key)) << op;
+            } else {
+                cache.clear();
+                ref.clear();
+            }
+            if (op % check_every == 0 || op == ops - 1) {
+                ASSERT_EQ(json::encodeFields(cache).at("entries").dump(0),
+                          ref.slots().dump(0))
+                    << op;
+                ASSERT_EQ(cache.occupancy(), ref.slots().size()) << op;
+            }
+        }
+    }
 }
 
 TEST(VictimCache, EvictionFallsIntoVictim)

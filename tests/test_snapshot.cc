@@ -160,6 +160,27 @@ TEST(Snapshot, SaveRestoreSaveIsStable)
     EXPECT_EQ(entry.stateHash, snapshot::jsonStateHash(again));
 }
 
+TEST(Snapshot, BytesArePinned)
+{
+    // The chex-snapshot-v2 bytes of a paused ucode-pred mcf run, by
+    // digest. The run pauses while a free's invalidation has left a
+    // hole among the capability cache's ways, so which slots are
+    // valid, not just which keys are resident, is in the pin.
+    SystemConfig cfg = configFor(VariantKind::MicrocodePrediction);
+    System sys(cfg);
+    sys.load(generateWorkload(profileByName("mcf").scaledBy(4), TestSeed));
+    ASSERT_TRUE(sys.runMacros(11800));
+    std::string err;
+    json::Value doc = sys.saveSnapshot(&err);
+    ASSERT_FALSE(doc.isNull()) << err;
+    const json::Value &capCache =
+        doc.at("machine").at("capCache").at("cache");
+    ASSERT_GT(capCache.at("invalidations").asUint64(), 0u);
+    ASSERT_LT(capCache.at("entries").size(), capCache.at("ways").asUint64());
+    EXPECT_EQ(snapshot::stateHashHex(snapshot::jsonStateHash(doc)),
+              "6335418683052d99");
+}
+
 TEST(Snapshot, BundleFileRoundTrip)
 {
     BenchmarkProfile p = testProfile();

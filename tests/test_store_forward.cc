@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 
@@ -130,6 +132,72 @@ TEST(StoreForwardTable, MatchesReferenceMapUnderRandomTraffic)
         ++visited;
     });
     EXPECT_EQ(visited, ref.size());
+}
+
+TEST(StoreForwardTable, GrowsByDoublingAndMatchesMap)
+{
+    // Distinct words, one at a time, through every growth step from
+    // the initial 64 slots to Capacity and past the core's clear
+    // threshold; the whole table is compared with the map after each
+    // insertion that grew it. Then clear() keeps the slots, and the
+    // table refills without growing.
+    StoreForwardTable t;
+    std::unordered_map<uint64_t, uint64_t> ref;
+    auto expect_same = [&] {
+        ASSERT_EQ(t.size(), ref.size());
+        for (const auto &[word, ready] : ref) {
+            const uint64_t *got = t.lookup(word);
+            ASSERT_NE(got, nullptr) << "word " << word;
+            ASSERT_EQ(*got, ready) << "word " << word;
+        }
+        size_t visited = 0;
+        t.forEach([&](uint64_t word, uint64_t ready) {
+            ASSERT_EQ(ref.at(word), ready);
+            ++visited;
+        });
+        ASSERT_EQ(visited, ref.size());
+    };
+
+    EXPECT_EQ(t.slotCount(), StoreForwardTable::InitialSlots);
+    Random rng(99);
+    unsigned growths = 0;
+    const size_t words = StoreForwardTable::MaxWords + 1000;
+    for (uint64_t n = 1; n <= words; ++n) {
+        uint64_t word = rng.next() >> 20;
+        while (ref.count(word))
+            word = rng.next() >> 20;
+        size_t before = t.slotCount();
+        t.insert(word, n);
+        ref[word] = n;
+        // Slots double exactly when the load would pass 0.5.
+        size_t want = std::max<size_t>(StoreForwardTable::InitialSlots,
+                                       std::bit_ceil(2 * n));
+        ASSERT_EQ(t.slotCount(),
+                  std::min(want, StoreForwardTable::Capacity))
+            << n;
+        // An overwrite never grows the table.
+        t.insert(word, n + 1);
+        ref[word] = n + 1;
+        if (t.slotCount() != before) {
+            ++growths;
+            expect_same();
+        }
+    }
+    EXPECT_EQ(growths, 8u); // 64 -> 128 -> ... -> 16384
+    expect_same();
+
+    t.clear();
+    ref.clear();
+    EXPECT_EQ(t.slotCount(), StoreForwardTable::Capacity);
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.lookup(rng.next() >> 20), nullptr);
+    for (uint64_t n = 0; n < 500; ++n) {
+        uint64_t word = rng.uniform(0, 700);
+        t.insert(word, n);
+        ref[word] = n;
+    }
+    EXPECT_EQ(t.slotCount(), StoreForwardTable::Capacity);
+    expect_same();
 }
 
 } // namespace
