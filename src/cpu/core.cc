@@ -102,7 +102,7 @@ Core::beginMacro(uint64_t pc, DecodePath path,
     ++macrosThisCycle;
 
     // Instruction-cache effects on fetch-line transitions.
-    uint64_t line = pc / hier.config().lineBytes;
+    uint64_t line = hier.lineOf(pc);
     if (line != lastFetchLine) {
         lastFetchLine = line;
         unsigned lat = hier.fetchAccess(pc);

@@ -9,6 +9,7 @@
 #ifndef CHEX_CPU_RESOURCE_HH
 #define CHEX_CPU_RESOURCE_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -23,21 +24,15 @@ namespace chex
 class ResourceCalendar
 {
   public:
-    /**
-     * @param width Slots available per cycle.
-     * @param horizon Ring size in cycles; reservations further than
-     *        this past the frontier trigger a slide.
-     */
-    explicit ResourceCalendar(unsigned width, unsigned horizon = 1024)
-        : _width(width), used(horizon, 0)
+    /** Ring size in cycles; a reservation further than this past the
+     * window's base slides the window. A power of two, so a cycle's
+     * slot is a mask away. */
+    static constexpr unsigned Horizon = 1024;
+
+    /** @param width Slots available per cycle. */
+    explicit ResourceCalendar(unsigned width) : _width(width)
     {
-        chex_assert(width > 0 && horizon > 0, "bad calendar");
-        // cycle % horizon == cycle & (horizon - 1) for power-of-two
-        // horizons; index() runs several times per micro-op, so skip
-        // the divide when the geometry allows (it always does with
-        // the default horizon).
-        if ((horizon & (horizon - 1)) == 0)
-            _mask = horizon - 1;
+        chex_assert(width > 0, "bad calendar");
     }
 
     /**
@@ -64,7 +59,7 @@ class ResourceCalendar
     void
     reset()
     {
-        std::fill(used.begin(), used.end(), 0);
+        used.fill(0);
         base = 0;
     }
 
@@ -79,27 +74,25 @@ class ResourceCalendar
     /** @} */
 
   private:
-    size_t
-    index(uint64_t cycle) const
-    {
-        return _mask ? (cycle & _mask) : (cycle % used.size());
-    }
+    static constexpr uint64_t Mask = Horizon - 1;
+    static_assert((Horizon & Mask) == 0, "horizon is a power of two");
+
+    static size_t index(uint64_t cycle) { return cycle & Mask; }
 
     void
     slideTo(uint64_t cycle)
     {
         // Clear slots that fall out of the window as time advances.
-        if (cycle < base + used.size())
+        if (cycle < base + Horizon)
             return;
-        uint64_t new_base = cycle - used.size() + 1;
+        uint64_t new_base = cycle - Horizon + 1;
         for (uint64_t c = base; c < new_base; ++c)
             used[index(c)] = 0;
         base = new_base;
     }
 
     unsigned _width;
-    uint64_t _mask = 0; // horizon-1 when horizon is a power of two
-    std::vector<uint8_t> used;
+    std::array<uint8_t, Horizon> used{};
     uint64_t base = 0;
 };
 

@@ -51,11 +51,16 @@ SetAssocCache::wayOf(unsigned set, uint64_t key) const
 bool
 SetAssocCache::access(uint64_t key)
 {
-    unsigned set = setIndex(key);
-    unsigned way = wayOf(set, key);
-    if (way == _ways) {
-        ++_misses;
-        return false;
+    unsigned set = lastHit.set;
+    unsigned way = lastHit.way;
+    if (way == _ways || lastHit.key != key) {
+        set = setIndex(key);
+        way = wayOf(set, key);
+        if (way == _ways) {
+            ++_misses;
+            return false;
+        }
+        lastHit = {key, set, way};
     }
     slots.at(set, way).lastUse = ++useCounter;
     ++_hits;
@@ -71,6 +76,7 @@ SetAssocCache::probe(uint64_t key) const
 std::optional<uint64_t>
 SetAssocCache::insert(uint64_t key)
 {
+    forgetHit();
     unsigned set = setIndex(key);
     // A hit is looked for only below the first invalid way, which
     // the key fills otherwise: a copy of it above a hole that an
@@ -107,6 +113,7 @@ SetAssocCache::invalidate(uint64_t key)
     unsigned way = wayOf(set, key);
     if (way == _ways)
         return false;
+    forgetHit();
     slots.resetValid(set, way);
     ++_invalidations;
     return true;
@@ -115,6 +122,7 @@ SetAssocCache::invalidate(uint64_t key)
 void
 SetAssocCache::clear()
 {
+    forgetHit();
     slots.clear();
 }
 

@@ -99,6 +99,13 @@ class SetAssocCache
         f("evictions", s._evictions);
         f("invalidations", s._invalidations);
     }
+
+    bool
+    decode(const json::Value &v, std::string *why)
+    {
+        forgetHit();
+        return json::decodeFields(v, *this, why);
+    }
     /** @} */
 
   private:
@@ -113,6 +120,7 @@ class SetAssocCache
     unsigned setIndex(uint64_t key) const;
     /** The lowest valid way of @p set holding @p key, or ways(). */
     unsigned wayOf(unsigned set, uint64_t key) const;
+    void forgetHit() { lastHit.way = _ways; }
 
     unsigned _numSets;
     unsigned _ways;
@@ -122,6 +130,15 @@ class SetAssocCache
     unsigned _setMask = 0;
     SlotTable<Entry> slots; // one row per set
     uint64_t useCounter = 0;
+    // The last access() hit, so that a repeated key skips the set
+    // search. Anything that changes which slot holds a key (insert,
+    // invalidate, clear, decode) forgets it; way == ways() is none.
+    struct
+    {
+        uint64_t key;
+        unsigned set;
+        unsigned way;
+    } lastHit{0, 0, _ways};
 
     stats::StatGroup _stats;
     stats::Scalar &_hits;

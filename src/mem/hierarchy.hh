@@ -20,7 +20,7 @@ namespace chex
 /** Hierarchy geometry and latencies (cycles). */
 struct HierarchyConfig
 {
-    unsigned lineBytes = 64;
+    unsigned lineBytes = 64; // a power of two
     // L1: 32 KiB, 8-way (Table III)
     unsigned l1Sets = 64;
     unsigned l1Ways = 8;
@@ -70,6 +70,9 @@ class MemoryHierarchy
 
     const HierarchyConfig &config() const { return cfg; }
 
+    /** The line index of @p addr (addr / lineBytes, as a shift). */
+    uint64_t lineOf(uint64_t addr) const { return addr >> lineShift; }
+
     /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh) */
     template <typename S, typename F>
     static void
@@ -84,9 +87,8 @@ class MemoryHierarchy
     /** @} */
 
   private:
-    uint64_t lineOf(uint64_t addr) const { return addr / cfg.lineBytes; }
-
     HierarchyConfig cfg;
+    unsigned lineShift; // log2(lineBytes); the constructor checks it
     SetAssocCache _l1i;
     SetAssocCache _l1d;
     SetAssocCache _l2;

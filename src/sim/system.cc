@@ -411,6 +411,30 @@ System::applyIntrinsic(IntrinsicKind kind, uint64_t pc)
 }
 
 void
+System::IntervalPidSet::clear()
+{
+    for (Pid pid : members)
+        wordOf(pid) &= ~(1ull << (pid & 63));
+    members.clear();
+}
+
+std::vector<Pid>
+System::IntervalPidSet::sorted() const
+{
+    std::vector<Pid> out = members;
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+void
+System::IntervalPidSet::addPage(size_t page)
+{
+    if (page >= pages.size())
+        pages.resize(page + 1);
+    pages[page] = std::make_unique<uint64_t[]>(size_t{1} << (PageBits - 6));
+}
+
+void
 System::beginRun()
 {
     result = RunResult{};
@@ -781,13 +805,7 @@ struct PidSet
 {
     T &pids;
 
-    json::Value
-    encode() const
-    {
-        std::vector<Pid> sorted(pids.begin(), pids.end());
-        std::sort(sorted.begin(), sorted.end());
-        return json::encode(sorted);
-    }
+    json::Value encode() const { return json::encode(pids.sorted()); }
 
     bool
     decode(const json::Value &v, std::string *why) const

@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "base/fields.hh"
@@ -256,6 +255,53 @@ class System
         f("freePid", p.freePid);
     }
 
+    /**
+     * The Figure-3 interval PID set: the distinct PIDs checked since
+     * the last sample. Membership is one bit per PID, and clear()
+     * resets only the members' bits, so insert() is a bit test
+     * instead of a hash insert. PIDs are dense (CapabilityTable hands
+     * them out in order), so the bits sit in pages allocated on first
+     * touch, as in PagedCapabilityStore: a stray PID costs one page.
+     */
+    class IntervalPidSet
+    {
+      public:
+        void
+        insert(Pid pid)
+        {
+            uint64_t &word = wordOf(pid);
+            uint64_t bit = 1ull << (pid & 63);
+            if (!(word & bit)) {
+                word |= bit;
+                members.push_back(pid);
+            }
+        }
+
+        size_t size() const { return members.size(); }
+
+        void clear();
+
+        /** The members, ascending. */
+        std::vector<Pid> sorted() const;
+
+      private:
+        static constexpr unsigned PageBits = 15; // 4 KiB of bits
+
+        uint64_t &
+        wordOf(Pid pid)
+        {
+            size_t page = pid >> PageBits;
+            if (page >= pages.size() || !pages[page])
+                addPage(page);
+            return pages[page][(pid & ((1u << PageBits) - 1)) >> 6];
+        }
+
+        void addPage(size_t page);
+
+        std::vector<std::unique_ptr<uint64_t[]>> pages;
+        std::vector<Pid> members; // insertion order
+    };
+
     /** The snapshot document's members (saveSnapshot()). */
     template <typename S, typename F>
     static void snapshotFields(S &s, F &&f);
@@ -337,7 +383,7 @@ class System
     RunResult result;
 
     // Figure-3 interval tracking
-    std::unordered_set<Pid> intervalPids;
+    IntervalPidSet intervalPids;
     uint64_t intervalMacros = 0;
     uint64_t intervalSamples = 0;
     double intervalPidSum = 0.0;

@@ -1,107 +1,65 @@
 #include "reg_tags.hh"
 
-#include <bit>
-
-#include "base/logging.hh"
+#include <algorithm>
+#include <utility>
 
 namespace chex
 {
 
-RegTagFile::RegTagFile() = default;
-
-Pid
-RegTagFile::current(RegId reg) const
-{
-    chex_assert(reg < NumArchRegs, "bad register");
-    const RegTag &t = tags[reg];
-    if (!t.transients.empty())
-        return t.transients.back().pid;
-    return t.finalized;
-}
-
-Pid
-RegTagFile::committed(RegId reg) const
-{
-    chex_assert(reg < NumArchRegs, "bad register");
-    return tags[reg].finalized;
-}
-
 void
-RegTagFile::write(RegId reg, Pid pid, uint64_t seq)
+RegTagFile::grow()
 {
-    chex_assert(reg < NumArchRegs, "bad register");
-    RegTag &t = tags[reg];
-    chex_assert(t.transients.empty() || t.transients.back().seq < seq,
-                "out-of-order transient write");
-    t.transients.push_back({seq, pid});
-    nonEmpty |= 1ull << reg;
-}
-
-void
-RegTagFile::commitUpTo(uint64_t seq)
-{
-    for (uint64_t m = nonEmpty; m; m &= m - 1) {
-        RegTag &t = tags[std::countr_zero(m)];
-        size_t n = 0;
-        while (n < t.transients.size() && t.transients[n].seq <= seq)
-            ++n;
-        if (n > 0) {
-            t.finalized = t.transients[n - 1].pid;
-            t.transients.erase(t.transients.begin(),
-                               t.transients.begin() + n);
-            if (t.transients.empty())
-                nonEmpty &= ~(1ull << std::countr_zero(m));
-        }
-    }
+    size_t cap = ring.empty() ? InitialCapacity : 2 * ring.size();
+    std::vector<Transient> bigger(cap);
+    for (uint64_t p = head; p != tail; ++p)
+        bigger[p & (cap - 1)] = ring[p & mask];
+    ring = std::move(bigger);
+    mask = cap - 1;
 }
 
 void
 RegTagFile::squashAfter(uint64_t seq)
 {
-    for (uint64_t m = nonEmpty; m; m &= m - 1) {
-        RegTag &t = tags[std::countr_zero(m)];
-        while (!t.transients.empty() && t.transients.back().seq > seq)
-            t.transients.pop_back();
-        if (t.transients.empty())
-            nonEmpty &= ~(1ull << std::countr_zero(m));
+    while (head != tail) {
+        const Transient &t = ring[(tail - 1) & mask];
+        if (t.seq <= seq)
+            break;
+        youngest[t.reg] = t.prev;
+        --tail;
     }
-}
-
-size_t
-RegTagFile::transientCount() const
-{
-    size_t n = 0;
-    for (uint64_t m = nonEmpty; m; m &= m - 1)
-        n += tags[std::countr_zero(m)].transients.size();
-    return n;
 }
 
 void
 RegTagFile::clear()
 {
-    for (auto &t : tags) {
-        t.finalized = NoPid;
-        t.transients.clear();
-    }
-    nonEmpty = 0;
+    std::fill(std::begin(finalized), std::end(finalized), NoPid);
+    std::fill(std::begin(youngest), std::end(youngest), 0);
+    head = tail = 1;
 }
 
 namespace
 {
 
+/** One register's snapshot record: its finalized tag and its
+ * transients as (seq, pid), oldest first. */
+struct RegRecord
+{
+    Pid finalized = NoPid;
+    std::vector<std::pair<uint64_t, Pid>> transients;
+};
+
 /** A register's transient tags as [seq, pid] pairs in ascending
  * sequence order (write() relies on the order). */
-template <typename V>
 struct Transients
 {
-    V &tags;
+    std::vector<std::pair<uint64_t, Pid>> &tags;
 
     json::Value
     encode() const
     {
         json::Value out = json::Value::array();
         for (const auto &t : tags)
-            out.push(json::encode(std::pair(t.seq, t.pid)));
+            out.push(json::encode(t));
         return out;
     }
 
@@ -112,14 +70,13 @@ struct Transients
         return json::decodePairs<uint64_t, Pid>(
             v,
             [this](uint64_t seq, Pid pid, std::string *) {
-                tags.push_back({seq, pid});
+                tags.emplace_back(seq, pid);
                 return true;
             },
             why);
     }
 };
 
-/** One register's snapshot record. */
 auto regRecord = [](auto &t) {
     return json::Group{[&t](auto &g) {
         g("finalized", t.finalized);
@@ -132,18 +89,36 @@ auto regRecord = [](auto &t) {
 json::Value
 RegTagFile::encode() const
 {
-    return json::FixedLength{tags, regRecord}.encode();
+    RegRecord recs[NumArchRegs];
+    for (size_t r = 0; r < NumArchRegs; ++r)
+        recs[r].finalized = finalized[r];
+    for (uint64_t p = head; p != tail; ++p) {
+        const Transient &t = ring[p & mask];
+        recs[t.reg].transients.emplace_back(t.seq, t.pid);
+    }
+    return json::FixedLength{recs, regRecord}.encode();
 }
 
 bool
 RegTagFile::decode(const json::Value &v, std::string *why)
 {
-    if (!json::FixedLength{tags, regRecord}.decode(v, why))
+    RegRecord recs[NumArchRegs];
+    if (!json::FixedLength{recs, regRecord}.decode(v, why))
         return false;
-    nonEmpty = 0;
-    for (size_t r = 0; r < NumArchRegs; ++r)
-        if (!tags[r].transients.empty())
-            nonEmpty |= 1ull << r;
+    clear();
+    // Merge the ascending per-register lists into the ring by seq.
+    std::vector<Transient> merged;
+    for (size_t r = 0; r < NumArchRegs; ++r) {
+        finalized[r] = recs[r].finalized;
+        for (auto [seq, pid] : recs[r].transients)
+            merged.push_back({seq, 0, pid, static_cast<RegId>(r)});
+    }
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const Transient &a, const Transient &b) {
+                         return a.seq < b.seq;
+                     });
+    for (const Transient &t : merged)
+        write(t.reg, t.pid, t.seq);
     return true;
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -328,7 +329,7 @@ TEST(Cache, MatchesPerEntryValidReference)
         {64, 8}, {1024, 16}, {1, 64}, {128, 2}, {1, 32}, {1, 128}, {3, 96}};
     for (auto [sets, ways] : geometries) {
         SCOPED_TRACE(std::to_string(sets) + "x" + std::to_string(ways));
-        SetAssocCache cache("c", sets, ways);
+        auto cache = std::make_unique<SetAssocCache>("c", sets, ways);
         ReferenceCache ref(sets, ways);
         Random rng(sets * 131 + ways);
         // Twice as many keys as slots: hits, misses, evictions and
@@ -337,27 +338,73 @@ TEST(Cache, MatchesPerEntryValidReference)
         const int ops = 20 * static_cast<int>(sets * ways) + 2000;
         const int check_every = std::max(997, ops / 16);
         for (int op = 0; op < ops; ++op) {
+            if (op == ops / 2) {
+                // Halfway, carry on in a cache that has been used and
+                // then decoded from this one's snapshot. Its last hit
+                // was a key the reference never holds, so a last-hit
+                // memo that survived the decode would hit on it.
+                auto used = std::make_unique<SetAssocCache>("c", sets, ways);
+                const uint64_t stranger = keys + 1;
+                used->insert(stranger);
+                ASSERT_TRUE(used->access(stranger));
+                std::string why;
+                ASSERT_TRUE(used->decode(json::encodeFields(*cache), &why))
+                    << why;
+                cache = std::move(used);
+                ASSERT_EQ(cache->access(stranger), ref.access(stranger));
+            }
             uint64_t key = rng.uniform(0, keys - 1);
             unsigned kind = static_cast<unsigned>(rng.uniform(0, 999));
             if (kind < 350) {
-                ASSERT_EQ(cache.access(key), ref.access(key)) << op;
+                ASSERT_EQ(cache->access(key), ref.access(key)) << op;
             } else if (kind < 700) {
-                ASSERT_EQ(cache.insert(key), ref.insert(key)) << op;
+                ASSERT_EQ(cache->insert(key), ref.insert(key)) << op;
             } else if (kind < 950) {
-                ASSERT_EQ(cache.invalidate(key), ref.invalidate(key)) << op;
+                ASSERT_EQ(cache->invalidate(key), ref.invalidate(key)) << op;
             } else if (kind < 999) {
-                ASSERT_EQ(cache.probe(key), ref.probe(key)) << op;
+                ASSERT_EQ(cache->probe(key), ref.probe(key)) << op;
             } else {
-                cache.clear();
+                cache->clear();
                 ref.clear();
             }
             if (op % check_every == 0 || op == ops - 1) {
-                ASSERT_EQ(json::encodeFields(cache).at("entries").dump(0),
+                ASSERT_EQ(json::encodeFields(*cache).at("entries").dump(0),
                           ref.slots().dump(0))
                     << op;
-                ASSERT_EQ(cache.occupancy(), ref.slots().size()) << op;
+                ASSERT_EQ(cache->occupancy(), ref.slots().size()) << op;
             }
         }
+    }
+}
+
+TEST(Cache, InsertForgetsLastHit)
+{
+    // An insert that evicts the last hit's key, or that re-inserts it
+    // into a hole below its slot, moves where the key lives.
+    {
+        SetAssocCache c("c", 1, 2);
+        c.insert(1);
+        c.insert(2);
+        ASSERT_TRUE(c.access(1));
+        EXPECT_EQ(c.insert(3), std::optional<uint64_t>(2));
+        EXPECT_EQ(c.insert(4), std::optional<uint64_t>(1));
+        EXPECT_FALSE(c.access(1));
+    }
+    {
+        SetAssocCache c("c", 1, 4);
+        ReferenceCache ref(1, 4);
+        auto both = [&](auto op) {
+            op(c);
+            op(ref);
+        };
+        both([](auto &x) { x.insert(7); });
+        both([](auto &x) { x.insert(9); });
+        both([](auto &x) { x.invalidate(7); }); // a hole below 9
+        both([](auto &x) { x.access(9); });
+        both([](auto &x) { x.insert(9); }); // a copy fills the hole
+        both([](auto &x) { x.access(9); }); // must touch the lower copy
+        EXPECT_EQ(json::encodeFields(c).at("entries").dump(0),
+                  ref.slots().dump(0));
     }
 }
 
@@ -523,6 +570,23 @@ TEST(AliasTable, DenseRegionSharesNodes)
         t.set(a, 2);
     // Same leaf node: no new allocations.
     EXPECT_EQ(t.storageBytes(), one);
+}
+
+TEST(Hierarchy, LineIndexIsAShift)
+{
+    MemoryHierarchy h;
+    EXPECT_EQ(h.lineOf(0), 0u);
+    EXPECT_EQ(h.lineOf(63), 0u);
+    EXPECT_EQ(h.lineOf(64), 1u);
+    EXPECT_EQ(h.lineOf(~0ull), ~0ull / 64);
+}
+
+TEST(HierarchyDeathTest, RejectsLineSizeNotPowerOfTwo)
+{
+    HierarchyConfig cfg;
+    cfg.lineBytes = 48;
+    EXPECT_EXIT(MemoryHierarchy{cfg}, ::testing::ExitedWithCode(1),
+                "cache line size 48 is not a power of two");
 }
 
 TEST(Hierarchy, L1HitIsCheap)
