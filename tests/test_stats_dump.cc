@@ -15,6 +15,8 @@
 
 #include <sstream>
 
+#include "base/fnv.hh"
+#include "base/logging.hh"
 #include "isa/assembler.hh"
 #include "sim/system.hh"
 #include "workload/generator.hh"
@@ -58,6 +60,47 @@ TEST(StatsDump, ValuesMatchRunResult)
               std::string::npos);
     EXPECT_NE(out.find("system.heap.totalAllocs = 4"),
               std::string::npos);
+}
+
+/** FNV-1a digest of @p text, as 16 hex digits. */
+std::string
+textDigest(const std::string &text)
+{
+    TaggedHasher h;
+    h.bytes(text.data(), text.size());
+    return csprintf("%016llx",
+                    static_cast<unsigned long long>(h.digest()));
+}
+
+TEST(StatsDump, TreeBytesArePinned)
+{
+    // The text and JSON dumps of one smoke run, by digest, under a
+    // variant without and one with capability checks: every name,
+    // description, value and order in the tree is in the pin.
+    struct Pin
+    {
+        VariantKind kind;
+        const char *text;
+        const char *json;
+    };
+    for (const Pin &pin :
+         {Pin{VariantKind::Baseline, "411568a4153513e6",
+              "eeb0d4391912a8af"},
+          Pin{VariantKind::MicrocodePrediction, "e15aba400ab25240",
+              "4c42907020b0b12c"}}) {
+        SystemConfig cfg;
+        cfg.variant.kind = pin.kind;
+        System sys(cfg);
+        sys.load(generateSmokeProgram(6, 128));
+        sys.run();
+        std::ostringstream text, json;
+        sys.dumpStats(text);
+        sys.dumpStatsJson(json);
+        EXPECT_EQ(textDigest(text.str()), pin.text)
+            << variantName(pin.kind);
+        EXPECT_EQ(textDigest(json.str()), pin.json)
+            << variantName(pin.kind);
+    }
 }
 
 /**
