@@ -71,15 +71,13 @@ StatGroup::StatGroup(std::string name) : _name(std::move(name))
 {
 }
 
-Scalar &
-StatGroup::addScalar(const std::string &name, const std::string &desc)
+void
+StatGroup::addScalar(const std::string &name, const std::string &desc,
+                     Scalar &stat)
 {
     chex_assert(!scalars.count(name) && !formulas.count(name),
                 "duplicate stat name");
-    auto &entry = scalars[name];
-    entry.stat = std::make_unique<Scalar>();
-    entry.desc = desc;
-    return *entry.stat;
+    scalars[name] = {&stat, desc};
 }
 
 void
@@ -93,15 +91,12 @@ StatGroup::addFormula(const std::string &name, const std::string &desc,
     entry.desc = desc;
 }
 
-Histogram &
+void
 StatGroup::addHistogram(const std::string &name, const std::string &desc,
-                        double min, double max, size_t num_buckets)
+                        Histogram &stat)
 {
     chex_assert(!histograms.count(name), "duplicate histogram name");
-    auto &entry = histograms[name];
-    entry.stat = std::make_unique<Histogram>(min, max, num_buckets);
-    entry.desc = desc;
-    return *entry.stat;
+    histograms[name] = {&stat, desc};
 }
 
 void
@@ -115,7 +110,7 @@ const Scalar *
 StatGroup::findScalar(const std::string &name) const
 {
     auto it = scalars.find(name);
-    return it == scalars.end() ? nullptr : it->second.stat.get();
+    return it == scalars.end() ? nullptr : it->second.stat;
 }
 
 const StatGroup::FormulaEntry *

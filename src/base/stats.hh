@@ -2,8 +2,10 @@
  * @file
  * A small hierarchical statistics package in the spirit of gem5's.
  *
- * Modules own a StatGroup and register named scalars, formulas, and
- * histograms in it. Groups nest, so the simulator can dump one tree
+ * Modules own plain Scalar and Histogram counters. A StatGroup is a
+ * named view over them, built only when a tree is dumped or read:
+ * the owner registers its counters and formulas by name into a group
+ * it is handed. Groups nest, so the simulator can dump one tree
  * (`system.cpu.commit.committedUops = ...`) and tests/benches can read
  * any value back by dotted path.
  */
@@ -14,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -115,9 +116,8 @@ using Formula = std::function<double()>;
 
 /**
  * A named collection of statistics, possibly with child groups.
- * Groups do not own their children; the owning module does. All
- * registration methods return references that remain valid for the
- * life of the group (storage is node-stable).
+ * Groups own neither their statistics nor their children; the
+ * owning module does, and must outlive the group.
  */
 class StatGroup
 {
@@ -129,18 +129,17 @@ class StatGroup
 
     const std::string &name() const { return _name; }
 
-    /** Register a named scalar; panics on duplicate names. */
-    Scalar &addScalar(const std::string &name,
-                      const std::string &desc);
+    /** Register @p stat by name; panics on duplicate names. */
+    void addScalar(const std::string &name, const std::string &desc,
+                   Scalar &stat);
 
     /** Register a named formula (lazy derived value). */
     void addFormula(const std::string &name, const std::string &desc,
                     Formula f);
 
-    /** Register a named histogram. */
-    Histogram &addHistogram(const std::string &name,
-                            const std::string &desc, double min,
-                            double max, size_t num_buckets);
+    /** Register @p stat by name. */
+    void addHistogram(const std::string &name, const std::string &desc,
+                      Histogram &stat);
 
     /** Attach a child group (not owned). */
     void addChild(StatGroup *child);
@@ -173,7 +172,7 @@ class StatGroup
   private:
     struct ScalarEntry
     {
-        std::unique_ptr<Scalar> stat;
+        Scalar *stat;
         std::string desc;
     };
     struct FormulaEntry
@@ -183,7 +182,7 @@ class StatGroup
     };
     struct HistEntry
     {
-        std::unique_ptr<Histogram> stat;
+        Histogram *stat;
         std::string desc;
     };
 

@@ -4,7 +4,7 @@ namespace chex
 {
 
 CapabilityCache::CapabilityCache(unsigned entries)
-    : cache("capCache", 1, entries)
+    : cache(1, entries)
 {
 }
 

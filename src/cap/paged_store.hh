@@ -11,14 +11,18 @@
  *
  * A per-page presence bitmap distinguishes "slot never written" from
  * "capability with all-zero fields", which decode() needs when a
- * crafted snapshot carries sparse PID sets.
+ * crafted snapshot carries sparse PID sets. It also gates every
+ * read, so a page's slots sit in uninitialised storage: taking a
+ * page writes only its bitmap, not 64 KiB of slots.
  */
 
 #ifndef CHEX_CAP_PAGED_STORE_HH
 #define CHEX_CAP_PAGED_STORE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "cap/capability.hh"
@@ -47,7 +51,7 @@ class PagedCapabilityStore
         uint64_t slot = pid % PageSlots;
         if (!(pg.present[slot / 64] & (1ull << (slot % 64))))
             return nullptr;
-        return &pg.slots[slot];
+        return pg.slot(slot);
     }
 
     Capability *
@@ -75,7 +79,7 @@ class PagedCapabilityStore
                 pool.pop_back();
                 pages[page]->reset();
             } else {
-                pages[page] = std::make_unique<Page>();
+                pages[page] = std::make_unique_for_overwrite<Page>();
             }
             ++pagesInUse;
         }
@@ -87,8 +91,8 @@ class PagedCapabilityStore
             word |= bit;
             ++count;
         }
-        pg.slots[slot] = cap;
-        return pg.slots[slot];
+        return *::new (pg.storage + slot * sizeof(Capability))
+            Capability(cap);
     }
 
     /** Number of capabilities stored. */
@@ -130,7 +134,7 @@ class PagedCapabilityStore
                                         __builtin_ctzll(bits));
                     bits &= bits - 1;
                     fn(static_cast<Pid>(page * PageSlots + slot),
-                       pg.slots[slot]);
+                       *pg.slot(slot));
                 }
             }
         }
@@ -139,8 +143,17 @@ class PagedCapabilityStore
   private:
     struct Page
     {
-        Capability slots[PageSlots];
+        // Slot i is a Capability only while present bit i is set.
+        alignas(Capability) std::byte storage[PageSlots *
+                                              sizeof(Capability)];
         uint64_t present[PageSlots / 64] = {};
+
+        const Capability *
+        slot(uint64_t i) const
+        {
+            return std::launder(reinterpret_cast<const Capability *>(
+                storage + i * sizeof(Capability)));
+        }
 
         void
         reset()

@@ -20,22 +20,22 @@ static_assert(memberCount<BenchmarkProfile> == 15);
 void
 hashProfile(TaggedHasher &h, const BenchmarkProfile &p)
 {
-    h.str("profile.name", p.name);
-    h.u64("profile.isParsec", p.isParsec);
-    h.u64("profile.totalAllocations", p.totalAllocations);
-    h.u64("profile.maxLiveBuffers", p.maxLiveBuffers);
-    h.u64("profile.buffersInUse", p.buffersInUse);
-    h.u64("profile.allocSizeMin", p.allocSizeMin);
-    h.u64("profile.allocSizeMax", p.allocSizeMax);
-    h.u64("profile.dominantPattern",
+    h.str("profile.name"_tag, p.name);
+    h.u64("profile.isParsec"_tag, p.isParsec);
+    h.u64("profile.totalAllocations"_tag, p.totalAllocations);
+    h.u64("profile.maxLiveBuffers"_tag, p.maxLiveBuffers);
+    h.u64("profile.buffersInUse"_tag, p.buffersInUse);
+    h.u64("profile.allocSizeMin"_tag, p.allocSizeMin);
+    h.u64("profile.allocSizeMax"_tag, p.allocSizeMax);
+    h.u64("profile.dominantPattern"_tag,
           static_cast<uint64_t>(p.dominantPattern));
-    h.f64("profile.pointerIntensity", p.pointerIntensity);
-    h.u64("profile.chaseDepth", p.chaseDepth);
-    h.u64("profile.accessesPerVisit", p.accessesPerVisit);
-    h.f64("profile.fpFraction", p.fpFraction);
-    h.f64("profile.branchiness", p.branchiness);
-    h.u64("profile.iterations", p.iterations);
-    h.u64("profile.scheduleLength", p.scheduleLength);
+    h.f64("profile.pointerIntensity"_tag, p.pointerIntensity);
+    h.u64("profile.chaseDepth"_tag, p.chaseDepth);
+    h.u64("profile.accessesPerVisit"_tag, p.accessesPerVisit);
+    h.f64("profile.fpFraction"_tag, p.fpFraction);
+    h.f64("profile.branchiness"_tag, p.branchiness);
+    h.u64("profile.iterations"_tag, p.iterations);
+    h.u64("profile.scheduleLength"_tag, p.scheduleLength);
 }
 
 } // namespace
@@ -46,11 +46,11 @@ specHash(const JobSpec &spec, uint64_t seed)
     TaggedHasher h;
     hashProfile(h, spec.profile);
     hashSystemConfig(h, spec.config);
-    h.u64("seed", seed);
+    h.u64("seed"_tag, seed);
     // Guarded so every pre-existing (non-attack) spec keeps its
     // historical hash: old reports stay valid cache inputs.
     if (!spec.attack.empty())
-        h.str("attack.case", spec.attack);
+        h.str("attack.case"_tag, spec.attack);
     return h.digest();
 }
 
@@ -58,8 +58,8 @@ uint64_t
 foldSnapshotHash(uint64_t spec_hash, uint64_t state_hash)
 {
     TaggedHasher h;
-    h.u64("spec", spec_hash);
-    h.u64("snapshot.stateHash", state_hash);
+    h.u64("spec"_tag, spec_hash);
+    h.u64("snapshot.stateHash"_tag, state_hash);
     return h.digest();
 }
 

@@ -29,7 +29,14 @@
  * next job starts in a fresh fork of the parent, exactly as if every
  * attempt had its own process. Reuse is result-preserving because
  * the simulator holds no mutable process-wide state beyond the log
- * level, and each job body builds its own System.
+ * level, and each job body builds its own System. Two pieces of
+ * process-wide state are shared but immutable: Table I
+ * (RuleDatabase::tableI, built on first use; a checker System copies
+ * it before installing a rule), and the folded tag tables of the
+ * content hashes (base/fnv.hh, built at compile time). Neither can
+ * carry anything from one job into the next. Under isolation the
+ * parent's threads never build a System, so a re-fork cannot copy
+ * Table I's initializer lock held.
  *
  * One bad (profile × variant × seed) point therefore costs exactly
  * one job, never the campaign process.

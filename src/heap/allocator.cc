@@ -13,19 +13,23 @@ HeapAllocator::HeapAllocator(SparseMemory &mem_in, uint64_t heap_base,
     : mem(mem_in),
       heapBase(heap_base),
       heapLimit(heap_limit),
-      top(heap_base),
-      statsGroup("heap"),
-      statTotalAllocs(
-          statsGroup.addScalar("totalAllocs", "successful allocations")),
-      statTotalFrees(statsGroup.addScalar("totalFrees", "free calls")),
-      statFailedAllocs(
-          statsGroup.addScalar("failedAllocs", "failed allocations")),
-      statBinReuse(
-          statsGroup.addScalar("binReuse", "allocations served from bins")),
-      statBumpAllocs(
-          statsGroup.addScalar("bumpAllocs", "allocations from wilderness"))
+      top(heap_base)
 {
     chex_assert(heap_base < heap_limit, "bad heap range");
+}
+
+void
+HeapAllocator::regStats(stats::StatGroup &group)
+{
+    group.addScalar("totalAllocs", "successful allocations",
+                    statTotalAllocs);
+    group.addScalar("totalFrees", "free calls", statTotalFrees);
+    group.addScalar("failedAllocs", "failed allocations",
+                    statFailedAllocs);
+    group.addScalar("binReuse", "allocations served from bins",
+                    statBinReuse);
+    group.addScalar("bumpAllocs", "allocations from wilderness",
+                    statBumpAllocs);
 }
 
 unsigned

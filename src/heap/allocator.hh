@@ -106,7 +106,8 @@ class HeapAllocator
     uint64_t heapBreak() const { return top; }
     /** True if @p ptr is a live user pointer from this allocator. */
     bool isLiveUserPtr(uint64_t ptr) const;
-    stats::StatGroup &statGroup() { return statsGroup; }
+    /** Name the allocator's counters into @p group. */
+    void regStats(stats::StatGroup &group);
     /** @} */
 
     /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
@@ -199,12 +200,11 @@ class HeapAllocator
     uint64_t liveBytes = 0;
     uint64_t peakLiveBytes = 0;
 
-    stats::StatGroup statsGroup;
-    stats::Scalar &statTotalAllocs;
-    stats::Scalar &statTotalFrees;
-    stats::Scalar &statFailedAllocs;
-    stats::Scalar &statBinReuse;
-    stats::Scalar &statBumpAllocs;
+    stats::Scalar statTotalAllocs;
+    stats::Scalar statTotalFrees;
+    stats::Scalar statFailedAllocs;
+    stats::Scalar statBinReuse;
+    stats::Scalar statBumpAllocs;
 };
 
 } // namespace chex

@@ -145,10 +145,11 @@ Decoder::intrinsicUopCount(IntrinsicKind kind)
 }
 
 CrackedInst
-Decoder::crack(const MacroInst &inst, uint64_t addr)
+Decoder::crack(const MacroInst &inst, uint64_t addr,
+               std::vector<StaticUop> &u)
 {
     CrackedInst out;
-    auto &u = out.uops;
+    out.first = static_cast<uint32_t>(u.size());
 
     switch (inst.opcode) {
       case MacroOpcode::NOP:
@@ -357,9 +358,10 @@ Decoder::crack(const MacroInst &inst, uint64_t addr)
                    static_cast<int>(inst.opcode));
     }
 
-    if (u.size() == 1)
+    out.count = static_cast<uint32_t>(u.size() - out.first);
+    if (out.count == 1)
         out.path = DecodePath::Simple;
-    else if (u.size() <= 4)
+    else if (out.count <= 4)
         out.path = DecodePath::Complex;
     else
         out.path = DecodePath::Msrom;

@@ -4,8 +4,9 @@
  * macro-instruction into 1..N micro-ops. Simple instructions use the
  * 1:1 decoders, moderately complex ones the 1:4 decoder, and long
  * flows (runtime-function bodies) the MSROM — mirroring the front
- * end of Figure 2 in the paper. Cracked sequences for static
- * instructions are cached per program index.
+ * end of Figure 2 in the paper. A program's cracked sequences sit
+ * one after another in one micro-op array, each instruction naming
+ * its span.
  */
 
 #ifndef CHEX_ISA_DECODER_HH
@@ -28,10 +29,11 @@ enum class DecodePath : uint8_t
     Msrom,    // microcode sequencer ROM
 };
 
-/** Result of cracking one macro-instruction. */
+/** Result of cracking one macro-instruction: its span of uops. */
 struct CrackedInst
 {
-    std::vector<StaticUop> uops;
+    uint32_t first = 0; // index of its first micro-op
+    uint32_t count = 0;
     DecodePath path = DecodePath::Simple;
 };
 
@@ -45,9 +47,10 @@ class Decoder
   public:
     /**
      * Crack @p inst (at address @p addr, needed for CALL return
-     * addresses) into micro-ops.
+     * addresses), appending its micro-ops to @p uops.
      */
-    static CrackedInst crack(const MacroInst &inst, uint64_t addr);
+    static CrackedInst crack(const MacroInst &inst, uint64_t addr,
+                             std::vector<StaticUop> &uops);
 
     /** Number of scaffold micro-ops for an intrinsic of @p kind. */
     static unsigned intrinsicUopCount(IntrinsicKind kind);

@@ -44,47 +44,47 @@ uint64_t
 programHash(const Program &prog)
 {
     TaggedHasher h;
-    h.u64("codeBase", prog.codeBase);
-    h.u64("entryPoint", prog.entryPoint);
-    h.u64("dataSize", prog.dataSize);
-    h.u64("code.count", prog.code.size());
+    h.u64("codeBase"_tag, prog.codeBase);
+    h.u64("entryPoint"_tag, prog.entryPoint);
+    h.u64("dataSize"_tag, prog.dataSize);
+    h.u64("code.count"_tag, prog.code.size());
     for (const MacroInst &mi : prog.code) {
-        h.u64("inst.opcode", static_cast<uint64_t>(mi.opcode));
-        h.u64("inst.dst", static_cast<uint64_t>(mi.dst));
-        h.u64("inst.src", static_cast<uint64_t>(mi.src));
-        h.u64("inst.mem.base", static_cast<uint64_t>(mi.mem.base));
-        h.u64("inst.mem.index", static_cast<uint64_t>(mi.mem.index));
-        h.u64("inst.mem.scale", mi.mem.scale);
-        h.u64("inst.mem.disp", static_cast<uint64_t>(mi.mem.disp));
-        h.u64("inst.mem.ripRelative", mi.mem.ripRelative);
-        h.u64("inst.imm", static_cast<uint64_t>(mi.imm));
-        h.u64("inst.size", mi.size);
-        h.u64("inst.cc", static_cast<uint64_t>(mi.cc));
-        h.u64("inst.target", mi.target);
-        h.u64("inst.intrinsic", static_cast<uint64_t>(mi.intrinsic));
+        h.u64("inst.opcode"_tag, static_cast<uint64_t>(mi.opcode));
+        h.u64("inst.dst"_tag, static_cast<uint64_t>(mi.dst));
+        h.u64("inst.src"_tag, static_cast<uint64_t>(mi.src));
+        h.u64("inst.mem.base"_tag, static_cast<uint64_t>(mi.mem.base));
+        h.u64("inst.mem.index"_tag, static_cast<uint64_t>(mi.mem.index));
+        h.u64("inst.mem.scale"_tag, mi.mem.scale);
+        h.u64("inst.mem.disp"_tag, static_cast<uint64_t>(mi.mem.disp));
+        h.u64("inst.mem.ripRelative"_tag, mi.mem.ripRelative);
+        h.u64("inst.imm"_tag, static_cast<uint64_t>(mi.imm));
+        h.u64("inst.size"_tag, mi.size);
+        h.u64("inst.cc"_tag, static_cast<uint64_t>(mi.cc));
+        h.u64("inst.target"_tag, mi.target);
+        h.u64("inst.intrinsic"_tag, static_cast<uint64_t>(mi.intrinsic));
     }
-    h.u64("symbols.count", prog.symbols.size());
+    h.u64("symbols.count"_tag, prog.symbols.size());
     for (const Symbol &s : prog.symbols) {
-        h.str("symbol.name", s.name);
-        h.u64("symbol.addr", s.addr);
-        h.u64("symbol.size", s.size);
+        h.str("symbol.name"_tag, s.name);
+        h.u64("symbol.addr"_tag, s.addr);
+        h.u64("symbol.size"_tag, s.size);
     }
-    h.u64("pool.count", prog.pool.size());
+    h.u64("pool.count"_tag, prog.pool.size());
     for (const PoolSlot &p : prog.pool) {
-        h.u64("pool.addr", p.addr);
-        h.u64("pool.value", p.value);
-        h.str("pool.refSymbol", p.refSymbol);
+        h.u64("pool.addr"_tag, p.addr);
+        h.u64("pool.value"_tag, p.value);
+        h.str("pool.refSymbol"_tag, p.refSymbol);
     }
-    h.u64("runtimeFuncs.count", prog.runtimeFuncs.size());
+    h.u64("runtimeFuncs.count"_tag, prog.runtimeFuncs.size());
     for (const RuntimeFunc &f : prog.runtimeFuncs) {
-        h.u64("runtime.kind", static_cast<uint64_t>(f.kind));
-        h.u64("runtime.entryAddr", f.entryAddr);
-        h.u64("runtime.exitAddr", f.exitAddr);
+        h.u64("runtime.kind"_tag, static_cast<uint64_t>(f.kind));
+        h.u64("runtime.entryAddr"_tag, f.entryAddr);
+        h.u64("runtime.exitAddr"_tag, f.exitAddr);
     }
-    h.u64("initData.count", prog.initData.size());
+    h.u64("initData.count"_tag, prog.initData.size());
     for (const InitBlob &b : prog.initData) {
-        h.u64("blob.addr", b.addr);
-        h.u64("blob.len", b.bytes.size());
+        h.u64("blob.addr"_tag, b.addr);
+        h.u64("blob.len"_tag, b.bytes.size());
         h.bytes(b.bytes.data(), b.bytes.size());
     }
     return h.digest();

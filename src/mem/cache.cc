@@ -6,24 +6,24 @@
 namespace chex
 {
 
-SetAssocCache::SetAssocCache(const std::string &name, unsigned num_sets,
-                             unsigned ways)
-    : _numSets(num_sets),
-      _ways(ways),
-      slots(num_sets, ways),
-      _stats(name),
-      _hits(_stats.addScalar("hits", "lookups that hit")),
-      _misses(_stats.addScalar("misses", "lookups that missed")),
-      _evictions(_stats.addScalar("evictions", "capacity evictions")),
-      _invalidations(
-          _stats.addScalar("invalidations", "explicit invalidations"))
+SetAssocCache::SetAssocCache(unsigned num_sets, unsigned ways)
+    : _numSets(num_sets), _ways(ways), slots(num_sets, ways)
 {
     chex_assert(num_sets > 0 && ways > 0, "bad cache geometry");
     if ((num_sets & (num_sets - 1)) == 0)
         _setMask = num_sets - 1;
-    _stats.addFormula("missRate", "miss fraction", [this]() {
-        return missRate();
-    });
+}
+
+void
+SetAssocCache::regStats(stats::StatGroup &group)
+{
+    group.addScalar("hits", "lookups that hit", _hits);
+    group.addScalar("misses", "lookups that missed", _misses);
+    group.addScalar("evictions", "capacity evictions", _evictions);
+    group.addScalar("invalidations", "explicit invalidations",
+                    _invalidations);
+    group.addFormula("missRate", "miss fraction",
+                     [this]() { return missRate(); });
 }
 
 unsigned
@@ -132,12 +132,10 @@ SetAssocCache::occupancy() const
     return static_cast<unsigned>(slots.count());
 }
 
-VictimAugmentedCache::VictimAugmentedCache(const std::string &name,
-                                           unsigned num_sets,
+VictimAugmentedCache::VictimAugmentedCache(unsigned num_sets,
                                            unsigned ways,
                                            unsigned victim_entries)
-    : _main(name + ".main", num_sets, ways),
-      _victim(name + ".victim", 1, victim_entries)
+    : _main(num_sets, ways), _victim(1, victim_entries)
 {
 }
 

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <type_traits>
 
 #include "base/fields.hh"
@@ -31,12 +30,10 @@ class SetAssocCache
 {
   public:
     /**
-     * @param name Stat-group name.
      * @param num_sets Number of sets (1 = fully associative).
      * @param ways Associativity.
      */
-    SetAssocCache(const std::string &name, unsigned num_sets,
-                  unsigned ways);
+    SetAssocCache(unsigned num_sets, unsigned ways);
 
     /**
      * Look up @p key, updating recency and hit/miss statistics.
@@ -76,7 +73,8 @@ class SetAssocCache
         return a ? static_cast<double>(misses()) / a : 0.0;
     }
 
-    stats::StatGroup &statGroup() { return _stats; }
+    /** Name the counters and the miss rate into @p group. */
+    void regStats(stats::StatGroup &group);
 
     /** @{ @name Snapshot state (chex-snapshot-v2, base/fields.hh)
      * Valid entries only, each with its flat index set * ways + way
@@ -140,11 +138,10 @@ class SetAssocCache
         unsigned way;
     } lastHit{0, 0, _ways};
 
-    stats::StatGroup _stats;
-    stats::Scalar &_hits;
-    stats::Scalar &_misses;
-    stats::Scalar &_evictions;
-    stats::Scalar &_invalidations;
+    stats::Scalar _hits;
+    stats::Scalar _misses;
+    stats::Scalar _evictions;
+    stats::Scalar _invalidations;
 };
 
 /**
@@ -156,8 +153,8 @@ class SetAssocCache
 class VictimAugmentedCache
 {
   public:
-    VictimAugmentedCache(const std::string &name, unsigned num_sets,
-                         unsigned ways, unsigned victim_entries);
+    VictimAugmentedCache(unsigned num_sets, unsigned ways,
+                         unsigned victim_entries);
 
     /** Look up in main then victim; promotes victim hits. */
     bool access(uint64_t key);

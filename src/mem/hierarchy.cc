@@ -10,9 +10,9 @@ namespace chex
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &cfg_in)
     : cfg(cfg_in),
       lineShift(std::countr_zero(cfg.lineBytes)),
-      _l1i("l1i", cfg.l1Sets, cfg.l1Ways),
-      _l1d("l1d", cfg.l1Sets, cfg.l1Ways),
-      _l2("l2", cfg.l2Sets, cfg.l2Ways)
+      _l1i(cfg.l1Sets, cfg.l1Ways),
+      _l1d(cfg.l1Sets, cfg.l1Ways),
+      _l2(cfg.l2Sets, cfg.l2Ways)
 {
     if (!std::has_single_bit(cfg.lineBytes))
         chex_fatal("cache line size %u is not a power of two",

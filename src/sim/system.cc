@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 
 #include "base/logging.hh"
 #include "isa/assembler.hh"
@@ -22,6 +23,26 @@ capShadowAddr(Pid pid)
     return CapShadowBase + static_cast<uint64_t>(pid) * 16;
 }
 
+/**
+ * Checker experiment: seed only the trivial MOV rule, as an expert
+ * would, and let the checker construct the rest.
+ */
+RuleDatabase
+checkerSeedRules()
+{
+    RuleDatabase seed;
+    for (const auto &rule : RuleDatabase::tableI().rules()) {
+        if (rule.key.type == UopType::IntAlu && rule.key.op == AluOp::Mov)
+            seed.install(rule);
+        // Loads/stores flow through the alias machinery
+        // unconditionally; keep those rules too.
+        if (rule.key.type == UopType::Load ||
+            rule.key.type == UopType::Store)
+            seed.install(rule);
+    }
+    return seed;
+}
+
 } // anonymous namespace
 
 System::System(const SystemConfig &cfg_in)
@@ -35,27 +56,9 @@ System::System(const SystemConfig &cfg_in)
     capTable.setMaxAllocSize(cfg.maxAllocSize);
     capTable.setTrackInitialization(cfg.detectUninitializedReads);
 
-    RuleDatabase rules;
-    if (cfg.useTableIRules) {
-        rules = RuleDatabase::tableI();
-    } else {
-        // Checker experiment: seed only the trivial MOV rule, as an
-        // expert would, and let the checker construct the rest.
-        RuleDatabase seed;
-        for (const auto &rule : RuleDatabase::tableI().rules()) {
-            if (rule.key.type == UopType::IntAlu &&
-                rule.key.op == AluOp::Mov)
-                seed.install(rule);
-            // Loads/stores flow through the alias machinery
-            // unconditionally; keep those rules too.
-            if (rule.key.type == UopType::Load ||
-                rule.key.type == UopType::Store)
-                seed.install(rule);
-        }
-        rules = seed;
-    }
     trackerPtr = std::make_unique<SpeculativePointerTracker>(
-        std::move(rules), aliases, cfg.aliasPredictor, cfg.aliasCache);
+        cfg.useTableIRules ? RuleDatabase::tableI() : checkerSeedRules(),
+        aliases, cfg.aliasPredictor, cfg.aliasCache);
 
     if (cfg.enableChecker) {
         checkerPtr = std::make_unique<HardwareChecker>(
@@ -70,10 +73,13 @@ void
 System::load(const Program &program)
 {
     prog = program;
+    crackedUops.clear();
+    crackedUops.reserve(prog.code.size());
     crackCache.clear();
-    crackCache.resize(prog.code.size());
+    crackCache.reserve(prog.code.size());
     for (size_t i = 0; i < prog.code.size(); ++i)
-        crackCache[i] = Decoder::crack(prog.code[i], prog.addrOf(i));
+        crackCache.push_back(
+            Decoder::crack(prog.code[i], prog.addrOf(i), crackedUops));
     btTranslated.assign(prog.code.size(), false);
 
     // Constant pool: slots hold the addresses of global objects.
@@ -528,7 +534,8 @@ System::stepLoop(uint64_t stop_at)
         bool branch_taken = false;
         uint64_t branch_target = 0;
 
-        for (const StaticUop &u : ci.uops) {
+        for (const StaticUop &u :
+             std::span(crackedUops).subspan(ci.first, ci.count)) {
             ++seq;
 
             // Effective address before execution (checks precede
@@ -998,12 +1005,21 @@ System::visitStats(const std::function<void(stats::StatGroup &)> &visit)
                          });
     root.addChild(&cap_group);
 
-    root.addChild(&heapAlloc.statGroup());
-    root.addChild(&trackerPtr->statGroup());
-    root.addChild(&trackerPtr->aliasCache().main().statGroup());
-    root.addChild(&hier.l1i().statGroup());
-    root.addChild(&hier.l1d().statGroup());
-    root.addChild(&hier.l2().statGroup());
+    stats::StatGroup heap_group("heap");
+    heapAlloc.regStats(heap_group);
+    stats::StatGroup tracker_group("tracker");
+    trackerPtr->regStats(tracker_group);
+    stats::StatGroup alias_group("aliasCache.main");
+    trackerPtr->aliasCache().main().regStats(alias_group);
+    stats::StatGroup l1i_group("l1i");
+    hier.l1i().regStats(l1i_group);
+    stats::StatGroup l1d_group("l1d");
+    hier.l1d().regStats(l1d_group);
+    stats::StatGroup l2_group("l2");
+    hier.l2().regStats(l2_group);
+    for (stats::StatGroup *g : {&heap_group, &tracker_group, &alias_group,
+                                &l1i_group, &l1d_group, &l2_group})
+        root.addChild(g);
 
     visit(root);
 }

@@ -363,6 +363,9 @@ class System
     MsrFile msrs;
 
     Program prog;
+    // Every instruction's micro-ops in program order, and each
+    // instruction's span of them.
+    std::vector<StaticUop> crackedUops;
     std::vector<CrackedInst> crackCache;
     std::vector<bool> btTranslated;
 

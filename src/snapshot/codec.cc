@@ -16,7 +16,7 @@ uint64_t
 jsonStateHash(const json::Value &v)
 {
     TaggedHasher h;
-    h.str("snapshot.state", v.dump(0));
+    h.str("snapshot.state"_tag, v.dump(0));
     return h.digest();
 }
 

@@ -11,27 +11,32 @@ SpeculativePointerTracker::SpeculativePointerTracker(
     const AliasCacheConfig &cache_cfg)
     : rules(std::move(rules_in)),
       pred(pred_cfg),
-      cache("aliasCache", cache_cfg.sets, cache_cfg.ways,
-            cache_cfg.victimEntries),
-      aliases(aliases_in),
-      statsGroup("tracker"),
-      statLoads(statsGroup.addScalar("loads", "load micro-ops seen")),
-      statStores(statsGroup.addScalar("stores", "store micro-ops seen")),
-      statTaggedDerefs(statsGroup.addScalar(
-          "taggedDerefs", "memory micro-ops via tagged base registers")),
-      statSpills(statsGroup.addScalar(
-          "pointerSpills", "stores that spilled a tagged pointer")),
-      statReloads(statsGroup.addScalar(
-          "pointerReloads", "loads that reloaded a spilled pointer")),
-      statAliasKills(statsGroup.addScalar(
-          "aliasKills", "alias entries overwritten by data stores")),
-      statPageFilterSkips(statsGroup.addScalar(
-          "pageFilterSkips",
-          "alias lookups skipped by the TLB alias-hosting bit")),
-      statRemoteInvalidations(statsGroup.addScalar(
-          "remoteInvalidations",
-          "cross-core alias-cache invalidations received"))
+      cache(cache_cfg.sets, cache_cfg.ways, cache_cfg.victimEntries),
+      aliases(aliases_in)
 {
+}
+
+void
+SpeculativePointerTracker::regStats(stats::StatGroup &group)
+{
+    group.addScalar("loads", "load micro-ops seen", statLoads);
+    group.addScalar("stores", "store micro-ops seen", statStores);
+    group.addScalar("taggedDerefs",
+                    "memory micro-ops via tagged base registers",
+                    statTaggedDerefs);
+    group.addScalar("pointerSpills",
+                    "stores that spilled a tagged pointer", statSpills);
+    group.addScalar("pointerReloads",
+                    "loads that reloaded a spilled pointer", statReloads);
+    group.addScalar("aliasKills",
+                    "alias entries overwritten by data stores",
+                    statAliasKills);
+    group.addScalar("pageFilterSkips",
+                    "alias lookups skipped by the TLB alias-hosting bit",
+                    statPageFilterSkips);
+    group.addScalar("remoteInvalidations",
+                    "cross-core alias-cache invalidations received",
+                    statRemoteInvalidations);
 }
 
 TrackResult

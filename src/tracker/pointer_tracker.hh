@@ -105,7 +105,8 @@ class SpeculativePointerTracker
     RegTagFile &regTags() { return tags; }
     AliasTable &aliasTable() { return aliases; }
 
-    stats::StatGroup &statGroup() { return statsGroup; }
+    /** Name the tracker's counters into @p group. */
+    void regStats(stats::StatGroup &group);
 
     /** @{ @name Counters the harness reads directly */
     uint64_t taggedDerefs() const { return statTaggedDerefs.count(); }
@@ -144,15 +145,14 @@ class SpeculativePointerTracker
     VictimAugmentedCache cache;
     AliasTable &aliases;
 
-    stats::StatGroup statsGroup;
-    stats::Scalar &statLoads;
-    stats::Scalar &statStores;
-    stats::Scalar &statTaggedDerefs;
-    stats::Scalar &statSpills;
-    stats::Scalar &statReloads;
-    stats::Scalar &statAliasKills;
-    stats::Scalar &statPageFilterSkips;
-    stats::Scalar &statRemoteInvalidations;
+    stats::Scalar statLoads;
+    stats::Scalar statStores;
+    stats::Scalar statTaggedDerefs;
+    stats::Scalar statSpills;
+    stats::Scalar statReloads;
+    stats::Scalar statAliasKills;
+    stats::Scalar statPageFilterSkips;
+    stats::Scalar statRemoteInvalidations;
 };
 
 } // namespace chex

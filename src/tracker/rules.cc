@@ -38,7 +38,9 @@ ruleKeyFor(const StaticUop &uop)
 void
 RuleDatabase::install(const TrackRule &rule)
 {
-    byKey[rule.key] = rule;
+    auto copy = std::make_shared<RuleMap>(*byKey);
+    (*copy)[rule.key] = rule;
+    byKey = std::move(copy);
     actions[flatIndex(rule.key)] = rule.action;
 }
 
@@ -51,7 +53,7 @@ RuleDatabase::lookup(const StaticUop &uop) const
 bool
 RuleDatabase::has(const RuleKey &key) const
 {
-    return byKey.count(key) != 0;
+    return byKey->count(key) != 0;
 }
 
 Pid
@@ -101,14 +103,17 @@ std::vector<TrackRule>
 RuleDatabase::rules() const
 {
     std::vector<TrackRule> out;
-    out.reserve(byKey.size());
-    for (const auto &[key, rule] : byKey)
+    out.reserve(byKey->size());
+    for (const auto &[key, rule] : *byKey)
         out.push_back(rule);
     return out;
 }
 
+namespace
+{
+
 RuleDatabase
-RuleDatabase::tableI()
+buildTableI()
 {
     RuleDatabase db;
     auto add = [&](UopType type, AluOp op, OperandForm form,
@@ -160,6 +165,15 @@ RuleDatabase::tableI()
         RuleAction::AssignWild, "limm %rax, $imm",
         "int *p = (int *)0x7fff1000;");
     return db;
+}
+
+} // anonymous namespace
+
+RuleDatabase
+RuleDatabase::tableI()
+{
+    static const RuleDatabase table = buildTableI();
+    return table;
 }
 
 } // namespace chex

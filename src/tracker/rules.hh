@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,10 +77,17 @@ class RuleDatabase
     /** Empty database: every op falls through to Clear. */
     RuleDatabase() = default;
 
-    /** The expert-seeded Table I database. */
+    /**
+     * The expert-seeded Table I database. It is built once per
+     * process; every copy shares its rules until it installs one.
+     */
     static RuleDatabase tableI();
 
-    /** Install (or replace) a rule. */
+    /**
+     * Install (or replace) a rule. The rules are copied first, so a
+     * shared Table I never changes; only the checker installs, at
+     * most once per rule key.
+     */
     void install(const TrackRule &rule);
 
     /** Action for @p uop (Clear when no rule matches). */
@@ -100,7 +108,7 @@ class RuleDatabase
     /** All installed rules, in deterministic order. */
     std::vector<TrackRule> rules() const;
 
-    size_t size() const { return byKey.size(); }
+    size_t size() const { return byKey->size(); }
 
   private:
     // Key-space extents for the dense action table. The tracker
@@ -123,7 +131,9 @@ class RuleDatabase
                static_cast<size_t>(key.form);
     }
 
-    std::map<RuleKey, TrackRule> byKey;
+    using RuleMap = std::map<RuleKey, TrackRule>;
+
+    std::shared_ptr<const RuleMap> byKey = std::make_shared<RuleMap>();
     std::array<RuleAction, NumUopTypes * NumAluOps * NumForms>
         actions{}; // zero-init == RuleAction::Clear
 };

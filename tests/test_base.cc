@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the base utilities: logging formatters, base64, the
- * deterministic RNG, integer math, statistics, and table rendering.
+ * deterministic RNG, integer math, the folded FNV-1a hasher,
+ * statistics, and table rendering.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "base/base64.hh"
+#include "base/fnv.hh"
 #include "base/intmath.hh"
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -139,10 +141,75 @@ TEST(IntMath, PowersOfTwo)
     EXPECT_EQ(bits(0xff00, 15, 8), 0xffull);
 }
 
+/** FNV-1a 64, one byte at a time: the reference the folds must match. */
+uint64_t
+fnvStream(uint64_t h, const std::vector<unsigned char> &bytes)
+{
+    for (unsigned char b : bytes)
+        h = (h ^ b) * 0x100000001b3ull;
+    return h;
+}
+
+/** A tag's byte stream (NUL included) then @p v's 8 LE bytes. */
+std::vector<unsigned char>
+fieldBytes(const char *tag, uint64_t v)
+{
+    std::vector<unsigned char> out(tag, tag + std::strlen(tag) + 1);
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
+    return out;
+}
+
+TEST(Fnv, FoldedMatchesByteStream)
+{
+    Random rng(33);
+
+    // Random tags of 1-40 bytes, any byte values, folded at run time
+    // and applied to every low byte under random high bits.
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<unsigned char> tag(rng.uniform(1, 40));
+        for (unsigned char &b : tag)
+            b = static_cast<unsigned char>(rng.uniform(0, 255));
+        FoldedBytes f = foldBytes(tag.data(), tag.size());
+        uint64_t high = rng.next() & ~0xffull;
+        for (uint64_t low = 0; low < 256; ++low)
+            ASSERT_EQ(applyFold(high | low, f),
+                      fnvStream(high | low, tag))
+                << "trial " << trial << " low " << low;
+    }
+
+    // Values whose zero high bytes fold: 0, every one-byte value,
+    // both sides of each 2^8k boundary, and 2^64 - 1.
+    std::vector<uint64_t> values;
+    for (uint64_t v = 0; v < 256; ++v)
+        values.push_back(v);
+    for (int k = 1; k < 8; ++k) {
+        uint64_t boundary = 1ull << (8 * k);
+        values.insert(values.end(), {boundary - 1, boundary, boundary + 1});
+    }
+    values.push_back(~0ull);
+    for (uint64_t v : values) {
+        TaggedHasher h;
+        h.u64("field"_tag, v);
+        EXPECT_EQ(h.digest(), fnvStream(FnvBasis, fieldBytes("field", v)))
+            << v;
+    }
+
+    // A string field: tag, length field, then the bytes themselves.
+    TaggedHasher h;
+    h.str("name"_tag, "abc");
+    std::vector<unsigned char> want = {'n', 'a', 'm', 'e', 0};
+    std::vector<unsigned char> len = fieldBytes("len", 3);
+    want.insert(want.end(), len.begin(), len.end());
+    want.insert(want.end(), {'a', 'b', 'c'});
+    EXPECT_EQ(h.digest(), fnvStream(FnvBasis, want));
+}
+
 TEST(Stats, ScalarArithmetic)
 {
     stats::StatGroup g("g");
-    auto &s = g.addScalar("s", "test");
+    stats::Scalar s;
+    g.addScalar("s", "test", s);
     s += 2;
     ++s;
     s++;
@@ -162,8 +229,7 @@ TEST(Stats, ScalarCountsPastDoublePrecisionCliff)
     // a double-backed counter silently stops counting there. The
     // integer Scalar must keep exact counts across the cliff.
     constexpr uint64_t cliff = 1ull << 53;
-    stats::StatGroup g("g");
-    auto &s = g.addScalar("s", "test");
+    stats::Scalar s;
     s = cliff;
     ++s;
     EXPECT_EQ(s.count(), cliff + 1);
@@ -179,7 +245,8 @@ TEST(Stats, ScalarCountsPastDoublePrecisionCliff)
 TEST(Stats, FormulaEvaluatesLazily)
 {
     stats::StatGroup g("g");
-    auto &a = g.addScalar("a", "");
+    stats::Scalar a;
+    g.addScalar("a", "", a);
     g.addFormula("double_a", "", [&a]() { return a.value() * 2; });
     a = 21;
     EXPECT_DOUBLE_EQ(g.get("double_a"), 42.0);
@@ -189,7 +256,8 @@ TEST(Stats, NestedLookup)
 {
     stats::StatGroup parent("parent");
     stats::StatGroup child("child");
-    auto &s = child.addScalar("x", "");
+    stats::Scalar s;
+    child.addScalar("x", "", s);
     parent.addChild(&child);
     s = 7;
     EXPECT_DOUBLE_EQ(parent.get("child.x"), 7.0);
@@ -217,8 +285,10 @@ TEST(Stats, HistogramBucketsAndMoments)
 TEST(Stats, ResetClearsEverything)
 {
     stats::StatGroup g("g");
-    auto &s = g.addScalar("s", "");
-    auto &h = g.addHistogram("h", "", 0, 10, 5);
+    stats::Scalar s;
+    stats::Histogram h(0, 10, 5);
+    g.addScalar("s", "", s);
+    g.addHistogram("h", "", h);
     s = 3;
     h.sample(1);
     g.resetAll();
@@ -229,7 +299,8 @@ TEST(Stats, ResetClearsEverything)
 TEST(Stats, DumpContainsEntries)
 {
     stats::StatGroup g("sys");
-    auto &s = g.addScalar("cycles", "total cycles");
+    stats::Scalar s;
+    g.addScalar("cycles", "total cycles", s);
     s = 100;
     std::ostringstream os;
     g.dump(os);

@@ -127,12 +127,13 @@ TEST(Decoder, SimpleOpsAreOneUop)
     mi.opcode = MacroOpcode::ADD_RR;
     mi.dst = RAX;
     mi.src = RBX;
-    CrackedInst ci = Decoder::crack(mi, 0x400000);
-    ASSERT_EQ(ci.uops.size(), 1u);
+    std::vector<StaticUop> u;
+    CrackedInst ci = Decoder::crack(mi, 0x400000, u);
+    ASSERT_EQ(u.size(), 1u);
     EXPECT_EQ(ci.path, DecodePath::Simple);
-    EXPECT_EQ(ci.uops[0].op, AluOp::Add);
-    EXPECT_EQ(ci.uops[0].src1, RAX);
-    EXPECT_EQ(ci.uops[0].src2, RBX);
+    EXPECT_EQ(u[0].op, AluOp::Add);
+    EXPECT_EQ(u[0].src1, RAX);
+    EXPECT_EQ(u[0].src2, RBX);
 }
 
 TEST(Decoder, IncMemCracksToLdAddSt)
@@ -141,13 +142,14 @@ TEST(Decoder, IncMemCracksToLdAddSt)
     MacroInst mi;
     mi.opcode = MacroOpcode::INC_M;
     mi.mem = memAt(RAX);
-    CrackedInst ci = Decoder::crack(mi, 0x400000);
-    ASSERT_EQ(ci.uops.size(), 3u);
+    std::vector<StaticUop> u;
+    CrackedInst ci = Decoder::crack(mi, 0x400000, u);
+    ASSERT_EQ(u.size(), 3u);
     EXPECT_EQ(ci.path, DecodePath::Complex);
-    EXPECT_EQ(ci.uops[0].type, UopType::Load);
-    EXPECT_EQ(ci.uops[1].type, UopType::IntAlu);
-    EXPECT_TRUE(ci.uops[1].useImm);
-    EXPECT_EQ(ci.uops[2].type, UopType::Store);
+    EXPECT_EQ(u[0].type, UopType::Load);
+    EXPECT_EQ(u[1].type, UopType::IntAlu);
+    EXPECT_TRUE(u[1].useImm);
+    EXPECT_EQ(u[2].type, UopType::Store);
 }
 
 TEST(Decoder, CallCracksWithReturnAddress)
@@ -155,23 +157,25 @@ TEST(Decoder, CallCracksWithReturnAddress)
     MacroInst mi;
     mi.opcode = MacroOpcode::CALL;
     mi.target = 0x400100;
-    CrackedInst ci = Decoder::crack(mi, 0x400010);
-    ASSERT_EQ(ci.uops.size(), 4u);
+    std::vector<StaticUop> u;
+    Decoder::crack(mi, 0x400010, u);
+    ASSERT_EQ(u.size(), 4u);
     // limm of the return address is decoder-internal (synthetic).
-    EXPECT_EQ(ci.uops[0].type, UopType::LoadImm);
-    EXPECT_TRUE(ci.uops[0].synthetic);
-    EXPECT_EQ(ci.uops[0].imm, 0x400014);
-    EXPECT_TRUE(ci.uops[3].isBranch());
+    EXPECT_EQ(u[0].type, UopType::LoadImm);
+    EXPECT_TRUE(u[0].synthetic);
+    EXPECT_EQ(u[0].imm, 0x400014);
+    EXPECT_TRUE(u[3].isBranch());
 }
 
 TEST(Decoder, RetCracksToLoadAddBranch)
 {
     MacroInst mi;
     mi.opcode = MacroOpcode::RET;
-    CrackedInst ci = Decoder::crack(mi, 0x400000);
-    ASSERT_EQ(ci.uops.size(), 3u);
-    EXPECT_EQ(ci.uops[0].type, UopType::Load);
-    EXPECT_TRUE(ci.uops[2].indirect);
+    std::vector<StaticUop> u;
+    Decoder::crack(mi, 0x400000, u);
+    ASSERT_EQ(u.size(), 3u);
+    EXPECT_EQ(u[0].type, UopType::Load);
+    EXPECT_TRUE(u[2].indirect);
 }
 
 TEST(Decoder, MovImmediateIsNotSynthetic)
@@ -182,10 +186,11 @@ TEST(Decoder, MovImmediateIsNotSynthetic)
     mi.opcode = MacroOpcode::MOV_RI;
     mi.dst = RAX;
     mi.imm = 0x7fff1000;
-    CrackedInst ci = Decoder::crack(mi, 0x400000);
-    ASSERT_EQ(ci.uops.size(), 1u);
-    EXPECT_EQ(ci.uops[0].type, UopType::LoadImm);
-    EXPECT_FALSE(ci.uops[0].synthetic);
+    std::vector<StaticUop> u;
+    Decoder::crack(mi, 0x400000, u);
+    ASSERT_EQ(u.size(), 1u);
+    EXPECT_EQ(u[0].type, UopType::LoadImm);
+    EXPECT_FALSE(u[0].synthetic);
 }
 
 TEST(Decoder, IntrinsicUsesMsrom)
@@ -193,18 +198,21 @@ TEST(Decoder, IntrinsicUsesMsrom)
     MacroInst mi;
     mi.opcode = MacroOpcode::INTRINSIC;
     mi.intrinsic = IntrinsicKind::Malloc;
-    CrackedInst ci = Decoder::crack(mi, 0x400000);
+    std::vector<StaticUop> u;
+    CrackedInst ci = Decoder::crack(mi, 0x400000, u);
     EXPECT_EQ(ci.path, DecodePath::Msrom);
-    EXPECT_EQ(ci.uops.size(),
+    EXPECT_EQ(u.size(),
               Decoder::intrinsicUopCount(IntrinsicKind::Malloc));
     // The final micro-op deposits the result into %rax.
-    EXPECT_EQ(ci.uops.back().dst, RAX);
+    EXPECT_EQ(u.back().dst, RAX);
 }
 
 TEST(Decoder, AllOpcodesCrack)
 {
     // Property: every opcode (except NUM_OPCODES) cracks without
-    // panicking and yields at least one micro-op.
+    // panicking and yields at least one micro-op, appended right
+    // after the previous instruction's.
+    std::vector<StaticUop> u;
     for (int op = 0;
          op < static_cast<int>(MacroOpcode::NUM_OPCODES); ++op) {
         MacroInst mi;
@@ -213,8 +221,11 @@ TEST(Decoder, AllOpcodesCrack)
         mi.src = RBX;
         mi.mem = memAt(RCX, 8);
         mi.intrinsic = IntrinsicKind::Malloc;
-        CrackedInst ci = Decoder::crack(mi, 0x400000);
-        EXPECT_GE(ci.uops.size(), 1u) << opcodeName(mi.opcode);
+        size_t before = u.size();
+        CrackedInst ci = Decoder::crack(mi, 0x400000, u);
+        EXPECT_EQ(ci.first, before) << opcodeName(mi.opcode);
+        EXPECT_GE(ci.count, 1u) << opcodeName(mi.opcode);
+        EXPECT_EQ(u.size(), before + ci.count) << opcodeName(mi.opcode);
     }
 }
 

@@ -159,7 +159,7 @@ TEST(SparseMemory, ClearAndRestoreInvalidateTranslationCache)
 
 TEST(Cache, HitAfterInsert)
 {
-    SetAssocCache c("c", 4, 2);
+    SetAssocCache c(4, 2);
     EXPECT_FALSE(c.access(0x10));
     c.insert(0x10);
     EXPECT_TRUE(c.access(0x10));
@@ -169,7 +169,7 @@ TEST(Cache, HitAfterInsert)
 
 TEST(Cache, LruEvictionWithinSet)
 {
-    SetAssocCache c("c", 1, 2); // fully associative, 2 entries
+    SetAssocCache c(1, 2); // fully associative, 2 entries
     c.insert(1);
     c.insert(2);
     c.access(1);       // 2 becomes LRU
@@ -182,7 +182,7 @@ TEST(Cache, LruEvictionWithinSet)
 
 TEST(Cache, InvalidateRemoves)
 {
-    SetAssocCache c("c", 2, 2);
+    SetAssocCache c(2, 2);
     c.insert(5);
     EXPECT_TRUE(c.invalidate(5));
     EXPECT_FALSE(c.probe(5));
@@ -191,7 +191,7 @@ TEST(Cache, InvalidateRemoves)
 
 TEST(Cache, OccupancyAndClear)
 {
-    SetAssocCache c("c", 4, 4);
+    SetAssocCache c(4, 4);
     for (uint64_t k = 0; k < 10; ++k)
         c.insert(k);
     EXPECT_GT(c.occupancy(), 0u);
@@ -329,7 +329,7 @@ TEST(Cache, MatchesPerEntryValidReference)
         {64, 8}, {1024, 16}, {1, 64}, {128, 2}, {1, 32}, {1, 128}, {3, 96}};
     for (auto [sets, ways] : geometries) {
         SCOPED_TRACE(std::to_string(sets) + "x" + std::to_string(ways));
-        auto cache = std::make_unique<SetAssocCache>("c", sets, ways);
+        auto cache = std::make_unique<SetAssocCache>(sets, ways);
         ReferenceCache ref(sets, ways);
         Random rng(sets * 131 + ways);
         // Twice as many keys as slots: hits, misses, evictions and
@@ -343,7 +343,7 @@ TEST(Cache, MatchesPerEntryValidReference)
                 // then decoded from this one's snapshot. Its last hit
                 // was a key the reference never holds, so a last-hit
                 // memo that survived the decode would hit on it.
-                auto used = std::make_unique<SetAssocCache>("c", sets, ways);
+                auto used = std::make_unique<SetAssocCache>(sets, ways);
                 const uint64_t stranger = keys + 1;
                 used->insert(stranger);
                 ASSERT_TRUE(used->access(stranger));
@@ -382,7 +382,7 @@ TEST(Cache, InsertForgetsLastHit)
     // An insert that evicts the last hit's key, or that re-inserts it
     // into a hole below its slot, moves where the key lives.
     {
-        SetAssocCache c("c", 1, 2);
+        SetAssocCache c(1, 2);
         c.insert(1);
         c.insert(2);
         ASSERT_TRUE(c.access(1));
@@ -391,7 +391,7 @@ TEST(Cache, InsertForgetsLastHit)
         EXPECT_FALSE(c.access(1));
     }
     {
-        SetAssocCache c("c", 1, 4);
+        SetAssocCache c(1, 4);
         ReferenceCache ref(1, 4);
         auto both = [&](auto op) {
             op(c);
@@ -410,7 +410,7 @@ TEST(Cache, InsertForgetsLastHit)
 
 TEST(VictimCache, EvictionFallsIntoVictim)
 {
-    VictimAugmentedCache c("vc", 1, 1, 4);
+    VictimAugmentedCache c(1, 1, 4);
     c.insert(1);
     c.insert(2); // 1 spills to victim
     EXPECT_TRUE(c.access(1)); // victim hit, promoted back
@@ -421,7 +421,7 @@ TEST(VictimCache, EvictionFallsIntoVictim)
 
 TEST(VictimCache, MissRate)
 {
-    VictimAugmentedCache c("vc", 2, 2, 2);
+    VictimAugmentedCache c(2, 2, 2);
     for (uint64_t k = 0; k < 100; ++k) {
         c.access(k % 3);
         c.insert(k % 3);

@@ -1,13 +1,21 @@
 /**
  * @file
  * Rule-database tests: Table I construction, per-rule propagation
- * semantics, the MOVI wild-pointer rule, and default-clear
- * behaviour for unmatched operations.
+ * semantics, the MOVI wild-pointer rule, default-clear behaviour for
+ * unmatched operations, and that a checker's installs never reach
+ * the Table I that every other System shares.
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <tuple>
+#include <vector>
+
+#include "sim/system.hh"
 #include "tracker/rules.hh"
+#include "workload/generator.hh"
+#include "workload/profiles.hh"
 
 namespace chex
 {
@@ -185,6 +193,73 @@ TEST(Rules, RulesListIsDocumented)
         EXPECT_FALSE(rule.codeExample.empty());
         EXPECT_TRUE(rule.expertSeeded);
     }
+}
+
+using RuleRow = std::tuple<RuleKey, RuleAction, bool>;
+
+/** What a database matches on and does, rule by rule. */
+std::vector<RuleRow>
+ruleRows(const RuleDatabase &db)
+{
+    std::vector<RuleRow> rows;
+    for (const TrackRule &r : db.rules())
+        rows.emplace_back(r.key, r.action, r.expertSeeded);
+    return rows;
+}
+
+/**
+ * Run a checker System (seeded with MOV and LD/ST only) to its end;
+ * the number of rules its checker installed.
+ */
+size_t
+runCheckerSystem()
+{
+    SystemConfig cfg;
+    cfg.variant.haltOnViolation = false;
+    cfg.useTableIRules = false;
+    cfg.enableChecker = true;
+    System sys(cfg);
+    sys.load(generateWorkload(profileByName("mcf").scaledBy(40), 1));
+    sys.run();
+    return sys.checker()->constructedRules().size();
+}
+
+TEST(Rules, CheckerInstallsStayInTheirSystem)
+{
+    const std::vector<RuleRow> table_i = ruleRows(RuleDatabase::tableI());
+    ASSERT_EQ(table_i.size(), 11u);
+
+    System alive{SystemConfig{}};
+    ASSERT_GT(runCheckerSystem(), 0u);
+    EXPECT_EQ(ruleRows(alive.tracker().ruleDatabase()), table_i);
+
+    System after{SystemConfig{}};
+    EXPECT_EQ(ruleRows(after.tracker().ruleDatabase()), table_i);
+    EXPECT_EQ(ruleRows(RuleDatabase::tableI()), table_i);
+}
+
+TEST(Rules, CheckerInstallsStayInTheirSystemAcrossThreads)
+{
+    // Each thread alternates checker and Table I Systems, so installs
+    // and copies of the shared Table I run at the same time.
+    const std::vector<RuleRow> table_i = ruleRows(RuleDatabase::tableI());
+    std::vector<int> mismatches(4, 0);
+    std::vector<std::thread> threads;
+    for (int &bad : mismatches) {
+        threads.emplace_back([&table_i, &bad] {
+            for (int round = 0; round < 3; ++round) {
+                System plain{SystemConfig{}};
+                if (runCheckerSystem() == 0)
+                    ++bad;
+                if (ruleRows(plain.tracker().ruleDatabase()) != table_i)
+                    ++bad;
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+    EXPECT_EQ(ruleRows(RuleDatabase::tableI()), table_i);
 }
 
 } // namespace

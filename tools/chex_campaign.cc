@@ -477,9 +477,11 @@ struct ExecutionFlags
                        count(retries, 1));
         if (which & Isolate)
             parser.add("--isolate",
-                       "fork each job into its own child process\n"
-                       "so a simulator panic/crash is recorded as\n"
-                       "a failed job (cause: signal) instead of\n"
+                       "run jobs in child processes, one per\n"
+                       "worker, reused over a socketpair until an\n"
+                       "attempt fails (then re-forked), so a\n"
+                       "simulator panic/crash is recorded as a\n"
+                       "failed job (cause: signal) instead of\n"
                        "killing the campaign",
                        [this]() { isolate = true; });
         if (which & Timeout)
